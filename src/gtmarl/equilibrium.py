@@ -3,8 +3,13 @@
 minimax_solve handles two-player zero-sum games through the value LP in its
 normalized form: after shifting the payoff matrix to be strictly positive,
 each player's optimal mixture is the scaled solution of a one-phase LP
-(max 1'q subject to Aq <= 1, q >= 0). correlated_eq_solve optimizes a linear
-welfare objective over the correlated-equilibrium polytope. A support
+(max 1'q subject to Aq <= 1, q >= 0). stage_minimax, which the learners call
+once per stale state, solves that LP with its own kernel in linprog: the
+slack-basis tableau is built directly and pivoted with solve_lp's phase-2
+loop, so it returns solve_lp's answer bit for bit without the general path's
+bound transforms, phase 1 and loop-based feasibility check.
+correlated_eq_solve optimizes a linear welfare objective over the
+correlated-equilibrium polytope through the general solve_lp. A support
 enumeration oracle covers small general-sum two-player games.
 """
 
@@ -17,7 +22,7 @@ import numpy as np
 
 from .errors import NumericalError, SpecError
 from .games import MatrixGame, MixedProfile, expected_payoff, mixed_profile
-from .linprog import OPTIMAL, LinearProgram, linear_program, solve_lp
+from .linprog import OPTIMAL, _solve_value_lp, linear_program, solve_lp
 
 UTILITARIAN = "utilitarian_sum"
 EGALITARIAN = "egalitarian_min"
@@ -68,25 +73,14 @@ def stage_minimax(matrix) -> tuple[float, np.ndarray, np.ndarray]:
         raise SpecError("stage payoff matrix must be 2-D and nonempty")
     if not np.all(np.isfinite(a)):
         raise SpecError("stage payoff matrix has non-finite entries")
-    k1, k2 = a.shape
     shift = 1.0 - a.min()
-    lp = LinearProgram(
-        objective=np.ones(k2),
-        a_matrix=a + shift,
-        senses=("<=",) * k1,
-        rhs=np.ones(k1),
-        lower=np.zeros(k2),
-        upper=np.full(k2, np.inf),
-    )
-    sol = solve_lp(lp)
-    if sol.status != OPTIMAL:
-        raise NumericalError(f"value LP ended with status {sol.status}")
-    duals = np.where(sol.row_duals > 0.0, sol.row_duals, 0.0)  # clip -1e-11 drift
-    total = float(sol.x.sum())
+    q, row_duals = _solve_value_lp(a + shift)
+    duals = np.where(row_duals > 0.0, row_duals, 0.0)  # clip -1e-11 drift
+    total = float(q.sum())
     dual_total = float(duals.sum())
     if total <= 0.0 or dual_total <= 0.0:
         raise NumericalError("value LP returned a degenerate mixture")
-    y = sol.x / total
+    y = q / total
     x = duals / dual_total
     return 1.0 / total - shift, x, y
 

@@ -125,17 +125,6 @@ def belief_state(probs) -> BeliefState:
     return BeliefState(_frozen(v))
 
 
-def joint_action_count(game) -> int:
-    """Number of joint actions, the product of per-agent action counts."""
-    actions = game.actions
-    count = 1
-    for i, k in enumerate(actions):
-        if k < 1:
-            raise SpecError(f"agent {i} has {k} actions")
-        count *= k
-    return count
-
-
 def joint_index(actions: tuple[int, ...], joint: tuple[int, ...]) -> int:
     """Flat index of a joint action tuple (agent 1 most significant)."""
     if len(joint) != len(actions):

@@ -3,8 +3,8 @@
 The stochastic-game learners bootstrap through per-state stage games built
 from the current joint Q values: minimax-Q evaluates each stage game by its
 zero-sum LP value, correlated-Q by a correlated-equilibrium distribution.
-Stage solutions are cached per state and invalidated whenever that state's
-Q row changes.
+Stage solutions are cached per state (StageCache) and invalidated whenever
+that state's Q row changes.
 """
 
 from __future__ import annotations
@@ -114,6 +114,39 @@ def _require_stochastic(game, zero_sum: bool, two_player: bool) -> None:
         raise SpecError("a zero-sum game is required")
 
 
+class StageCache:
+    """Stage-game solutions per state, solved again only after invalidate.
+
+    solve(s) computes state s's solution from the learner's current Q
+    tables; the learners' solve functions look up stage_minimax and
+    solve_ce_distribution by module name at call time. get counts hits and
+    misses, and names the state and step in any NumericalError of a solve.
+    """
+
+    def __init__(self, states: int, solve):
+        self._solve = solve
+        self.valid = np.zeros(states, dtype=bool)
+        self.entries: list = [None] * states
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, s: int, step: int):
+        if self.valid[s]:
+            self.hits += 1
+            return self.entries[s]
+        self.misses += 1
+        try:
+            entry = self._solve(s)
+        except NumericalError as exc:
+            raise NumericalError(f"stage solve failed at state {s}, step {step}: {exc}") from exc
+        self.entries[s] = entry
+        self.valid[s] = True
+        return entry
+
+    def invalidate(self, s: int) -> None:
+        self.valid[s] = False
+
+
 # --- exact zero-sum solver (oracle for minimax-Q) --------------------------
 
 @dataclass(frozen=True)
@@ -143,7 +176,12 @@ def shapley_value_iteration(
         new = np.empty(states)
         for s in range(states):
             stage = (r1[s] + game.discount * (p[s] @ values)).reshape(k1, k2)
-            new[s], row_pol[s], col_pol[s] = stage_minimax(stage)
+            try:
+                new[s], row_pol[s], col_pol[s] = stage_minimax(stage)
+            except NumericalError as exc:
+                raise NumericalError(
+                    f"stage solve failed at state {s}, sweep {iteration}: {exc}"
+                ) from exc
         delta = float(np.max(np.abs(new - values)))
         values = new
         if delta <= tol:
@@ -160,6 +198,8 @@ class MinimaxQResult:
     policies: np.ndarray            # agent 1 maximin mixture per state
     opponent_policies: np.ndarray   # agent 2 minimax mixture per state
     curve: tuple                    # (step, mean reward, sup value error) rows
+    stage_hits: int                 # StageCache counters of the run
+    stage_misses: int
 
 
 def minimax_q_train(
@@ -181,22 +221,12 @@ def minimax_q_train(
     q = np.zeros((states, joint))
     visits_sa = np.zeros((states, joint), dtype=np.int64)
     visits_s = np.zeros(states, dtype=np.int64)
-    stage_value = np.zeros(states)
-    stage_x = np.zeros((states, k1))
-    stage_y = np.zeros((states, k2))
-    cum_x = np.zeros((states, k1))
-    cum_y = np.zeros((states, k2))
-    valid = np.zeros(states, dtype=bool)
 
-    def ensure(s: int) -> None:
-        if not valid[s]:
-            v, x, y = stage_minimax(q[s].reshape(k1, k2))
-            stage_value[s] = v
-            stage_x[s] = x
-            stage_y[s] = y
-            np.cumsum(x, out=cum_x[s])
-            np.cumsum(y, out=cum_y[s])
-            valid[s] = True
+    def solve(s: int):
+        v, x, y = stage_minimax(q[s].reshape(k1, k2))
+        return v, x, y, np.cumsum(x), np.cumsum(y)
+
+    cache = StageCache(states, solve)
 
     curve = []
     reward_sum, reward_n = 0.0, 0
@@ -208,38 +238,38 @@ def minimax_q_train(
             and t % schedule.episode_length == 0
         ):
             s = int(rng.integers(states))
-        ensure(s)
+        _, _, _, cum_x, cum_y = cache.get(s, t + 1)
         eps = _epsilon(schedule, int(visits_s[s]))
         visits_s[s] += 1
-        a1 = int(rng.integers(k1)) if rng.random() < eps else _sample(rng, cum_x[s])
-        a2 = int(rng.integers(k2)) if rng.random() < eps else _sample(rng, cum_y[s])
+        a1 = int(rng.integers(k1)) if rng.random() < eps else _sample(rng, cum_x)
+        a2 = int(rng.integers(k2)) if rng.random() < eps else _sample(rng, cum_y)
         j = a1 * k2 + a2
         reward = r1[s, j]
         s_next = _sample(rng, p_cum[s, j])
-        ensure(s_next)
+        next_value = cache.get(s_next, t + 1)[0]
         alpha = _alpha(schedule, int(visits_sa[s, j]))
         visits_sa[s, j] += 1
-        q[s, j] += alpha * (reward + gamma * stage_value[s_next] - q[s, j])
-        valid[s] = False
+        q[s, j] += alpha * (reward + gamma * next_value - q[s, j])
+        cache.invalidate(s)
         reward_sum += reward
         reward_n += 1
         if record_every and (t + 1) % record_every == 0:
             err = np.nan
             if oracle_values is not None:
-                for ss in range(states):
-                    ensure(ss)
-                err = float(np.max(np.abs(stage_value - oracle_values)))
+                values = np.array([cache.get(ss, t + 1)[0] for ss in range(states)])
+                err = float(np.max(np.abs(values - oracle_values)))
             curve.append((t + 1, reward_sum / reward_n, err))
             reward_sum, reward_n = 0.0, 0
         s = s_next
-    for ss in range(states):
-        ensure(ss)
+    final = [cache.get(ss, schedule.max_steps) for ss in range(states)]
     return MinimaxQResult(
         q=QTables((q.copy(),)),
-        values=stage_value.copy(),
-        policies=stage_x.copy(),
-        opponent_policies=stage_y.copy(),
+        values=np.array([entry[0] for entry in final]),
+        policies=np.array([entry[1] for entry in final]),
+        opponent_policies=np.array([entry[2] for entry in final]),
         curve=tuple(curve),
+        stage_hits=cache.hits,
+        stage_misses=cache.misses,
     )
 
 
@@ -250,6 +280,8 @@ class CorrelatedQResult:
     q: QTables
     stage_policies: np.ndarray  # per-state correlated distribution (states, joint)
     curve: tuple                # (step, mean reward per agent...) rows
+    stage_hits: int             # StageCache counters of the run
+    stage_misses: int
 
 
 def correlated_q_train(
@@ -273,22 +305,16 @@ def correlated_q_train(
     q = [np.zeros((states, joint)) for _ in range(n)]
     visits_sa = np.zeros((states, joint), dtype=np.int64)
     visits_s = np.zeros(states, dtype=np.int64)
-    lam = np.zeros((states, joint))
-    lam_cum = np.zeros((states, joint))
-    valid = np.zeros(states, dtype=bool)
 
-    def ensure(s: int) -> None:
-        if not valid[s]:
-            payoffs = [q[i][s] for i in range(n)]
-            dist = solve_ce_distribution(game.actions, payoffs, objective)
-            worst, _ = ce_violations(game.actions, payoffs, dist)
-            if worst > 1e-9:
-                raise NumericalError(
-                    f"stage CE violates incentives by {worst:g} at state {s}"
-                )
-            lam[s] = dist
-            np.cumsum(dist, out=lam_cum[s])
-            valid[s] = True
+    def solve(s: int):
+        payoffs = [q[i][s] for i in range(n)]
+        dist = solve_ce_distribution(game.actions, payoffs, objective)
+        worst, _ = ce_violations(game.actions, payoffs, dist)
+        if worst > 1e-9:
+            raise NumericalError(f"stage CE violates incentives by {worst:g}")
+        return dist, np.cumsum(dist)
+
+    cache = StageCache(states, solve)
 
     curve = []
     reward_sum = np.zeros(n)
@@ -301,31 +327,32 @@ def correlated_q_train(
             and t % schedule.episode_length == 0
         ):
             s = int(rng.integers(states))
-        ensure(s)
+        lam_cum = cache.get(s, t + 1)[1]
         eps = _epsilon(schedule, int(visits_s[s]))
         visits_s[s] += 1
-        j = int(rng.integers(joint)) if rng.random() < eps else _sample(rng, lam_cum[s])
+        j = int(rng.integers(joint)) if rng.random() < eps else _sample(rng, lam_cum)
         s_next = _sample(rng, p_cum[s, j])
-        ensure(s_next)
+        lam_next = cache.get(s_next, t + 1)[0]
         alpha = _alpha(schedule, int(visits_sa[s, j]))
         visits_sa[s, j] += 1
         for i in range(n):
-            target = rewards[i][s, j] + gamma * float(lam[s_next] @ q[i][s_next])
+            target = rewards[i][s, j] + gamma * float(lam_next @ q[i][s_next])
             q[i][s, j] += alpha * (target - q[i][s, j])
             reward_sum[i] += rewards[i][s, j]
-        valid[s] = False
+        cache.invalidate(s)
         reward_n += 1
         if record_every and (t + 1) % record_every == 0:
             curve.append((t + 1, *(reward_sum / reward_n)))
             reward_sum = np.zeros(n)
             reward_n = 0
         s = s_next
-    for ss in range(states):
-        ensure(ss)
+    final = [cache.get(ss, schedule.max_steps)[0] for ss in range(states)]
     return CorrelatedQResult(
         q=QTables(tuple(t.copy() for t in q)),
-        stage_policies=lam.copy(),
+        stage_policies=np.array(final),
         curve=tuple(curve),
+        stage_hits=cache.hits,
+        stage_misses=cache.misses,
     )
 
 

@@ -321,3 +321,34 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
             duals[i] = obj[art_col[i]]
         duals[i] *= row_signs[i]
     return LpSolution(OPTIMAL, x, float(lp.objective @ x), duals)
+
+
+def _solve_value_lp(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """maximize 1'q subject to m @ q <= 1, q >= 0, for a strictly positive
+    k1 x k2 matrix m: the normalized value LP of a zero-sum stage game.
+
+    Returns q and the row duals. The slack basis is feasible from the start,
+    so the tableau [m | I | 1] with objective row [-1 | 0 | 0] goes straight
+    to phase 2. The pivots are the ones solve_lp makes on the same program,
+    and so are the results, bit for bit.
+    """
+    k1, k2 = m.shape
+    ncols = k2 + k1
+    tab = np.zeros((k1 + 1, ncols + 1))
+    tab[:k1, :k2] = m
+    tab[:k1, k2:ncols] = np.eye(k1)
+    tab[:k1, -1] = 1.0
+    tab[k1, :k2] = -1.0
+    basis = np.arange(k2, ncols)
+    cap = 1000 + 200 * (k1 + ncols)  # solve_lp's default: 1000 + 200 * (rows + cols)
+    status = _run_phase(tab, basis, k1, k1, np.ones(ncols, dtype=bool), [cap, cap])
+    if status != OPTIMAL:
+        raise NumericalError(f"value LP ended with status {status}")
+    x_std = np.zeros(ncols)
+    x_std[basis] = tab[:k1, -1]
+    q = x_std[:k2]
+    # the checks solve_lp's check_feasible makes on this program, vectorized
+    worst = max(float(np.max(m @ q - 1.0)), float(np.max(-q)))
+    if worst > FEAS_TOL:
+        raise NumericalError(f"simplex returned an infeasible point (off by {worst:g})")
+    return q, tab[k1, k2:ncols].copy()

@@ -82,10 +82,6 @@ class RendezvousEnv:
         return self.positions.copy(), local, team, self._done
 
 
-def env_step(env: RendezvousEnv, joint_action):
-    return env.step(joint_action)
-
-
 def agent_features(positions: np.ndarray, agent: int) -> np.ndarray:
     """(own position, centroid of the other agents, 1)."""
     n = positions.size

@@ -5,7 +5,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from gtmarl import linprog
 from gtmarl.equilibrium import (
     EGALITARIAN,
     PLUTOCRATIC,
@@ -20,8 +24,9 @@ from gtmarl.equilibrium import (
     stage_minimax,
     support_enumeration_nash,
 )
-from gtmarl.errors import SpecError
+from gtmarl.errors import NumericalError, SpecError
 from gtmarl.games import build_matrix_game, classic_game, mixed_profile, random_game
+from gtmarl.linprog import OPTIMAL, LinearProgram, solve_lp
 
 
 # --- independent oracles ------------------------------------------------------
@@ -143,6 +148,82 @@ class TestMinimax:
         v1, x1, _ = stage_minimax(a - 10.0)
         assert v1 == pytest.approx(v0 - 10.0, abs=1e-9)
         assert x1 == pytest.approx(x0, abs=1e-9)
+
+
+def reference_stage_minimax(matrix):
+    """stage_minimax through the general solver: the value LP stated as a
+    LinearProgram and solved by solve_lp."""
+    a = np.asarray(matrix, dtype=float)
+    k1, k2 = a.shape
+    shift = 1.0 - a.min()
+    lp = LinearProgram(
+        objective=np.ones(k2),
+        a_matrix=a + shift,
+        senses=("<=",) * k1,
+        rhs=np.ones(k1),
+        lower=np.zeros(k2),
+        upper=np.full(k2, np.inf),
+    )
+    sol = solve_lp(lp)
+    if sol.status != OPTIMAL:
+        raise NumericalError(f"value LP ended with status {sol.status}")
+    duals = np.where(sol.row_duals > 0.0, sol.row_duals, 0.0)
+    total = float(sol.x.sum())
+    dual_total = float(duals.sum())
+    if total <= 0.0 or dual_total <= 0.0:
+        raise NumericalError("value LP returned a degenerate mixture")
+    return 1.0 / total - shift, duals / dual_total, sol.x / total
+
+
+def outcome(solver, matrix):
+    """The solver's result as raw bytes, or its NumericalError message."""
+    try:
+        value, x, y = solver(matrix)
+    except NumericalError as exc:
+        return ("error", str(exc))
+    return ("ok", np.float64(value).tobytes(), x.tobytes(), y.tobytes())
+
+
+@st.composite
+def stage_matrices(draw):
+    """Random real matrices, small-integer matrices (ties and degenerate
+    vertices) and constant matrices, 1x1 to 8x8."""
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    kind = draw(st.sampled_from(("real", "integer", "constant")))
+    if kind == "real":
+        elements = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+        return draw(hnp.arrays(np.float64, shape, elements=elements))
+    if kind == "integer":
+        return draw(hnp.arrays(np.int64, shape, elements=st.integers(-2, 2))).astype(float)
+    return np.full(shape, float(draw(st.integers(-5, 5))))
+
+
+class TestStageKernel:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(stage_matrices())
+    def test_bit_identical_to_general_solver(self, matrix):
+        assert outcome(stage_minimax, matrix) == outcome(reference_stage_minimax, matrix)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(SpecError, match="2-D"):
+            stage_minimax([1.0, 2.0])
+        with pytest.raises(SpecError, match="non-finite"):
+            stage_minimax([[1.0, np.inf]])
+
+    def test_status_check(self, monkeypatch):
+        monkeypatch.setattr(linprog, "_run_phase", lambda *args: "unbounded")
+        with pytest.raises(NumericalError, match="value LP ended with status unbounded"):
+            stage_minimax([[1.0, 0.0], [0.0, 1.0]])
+
+    def test_feasibility_check(self, monkeypatch):
+        def corrupt(tab, basis, *args):
+            basis[0] = 0
+            tab[0, -1] = 5.0  # q[0] = 5 breaks every row of the 2x2 LP
+            return OPTIMAL
+
+        monkeypatch.setattr(linprog, "_run_phase", corrupt)
+        with pytest.raises(NumericalError, match="simplex returned an infeasible point"):
+            stage_minimax([[1.0, 0.0], [0.0, 1.0]])
 
 
 # --- Nash ----------------------------------------------------------------------

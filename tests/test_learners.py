@@ -146,6 +146,15 @@ class TestMinimaxQ:
         with pytest.raises(SpecError):
             minimax_q_train(general, LearningSchedule(max_steps=10))
 
+    def test_stage_cache_counts(self):
+        # one state: each step misses on its own state (stale after the last
+        # update) and hits on the next state; the final read misses once more
+        res = minimax_q_train(constant_reward_game(1.0, 0.9), LearningSchedule(max_steps=50))
+        assert (res.stage_hits, res.stage_misses) == (50, 51)
+        game = random_game(10, (2, 2), zero_sum=True, num_states=3, discount=0.9)
+        res = minimax_q_train(game, LearningSchedule(max_steps=200, seed=10))
+        assert res.stage_hits + res.stage_misses == 2 * 200 + 3
+
 
 class TestCorrelatedQ:
     def test_single_agent_matches_value_iteration(self):
@@ -179,6 +188,11 @@ class TestCorrelatedQ:
         assert res.q.tables[1][0, 3] == pytest.approx(10.0, abs=1e-2)
         stage = build_matrix_game((2, 2), [res.q.tables[i][0] for i in range(2)])
         assert ce_check(stage, res.stage_policies[0], 1e-3).passed
+
+    def test_stage_cache_counts(self):
+        res = correlated_q_train(single_agent_mdp(0.9), schedule=LearningSchedule(max_steps=40))
+        assert res.stage_hits + res.stage_misses == 2 * 40 + 2
+        assert res.stage_misses > 2  # more than the first solve of each state
 
     def test_curve_tracks_per_agent_rewards(self):
         game = random_game(8, (2, 2), num_states=2, discount=0.9)

@@ -1,9 +1,12 @@
-"""Simplex solver tests against an independent vertex-enumeration oracle."""
+"""Simplex solver tests against independent oracles: vertex enumeration, and
+SciPy's HiGHS solver where SciPy is installed."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtmarl.errors import NumericalError, SimplexIterationError, SpecError
 from gtmarl.linprog import (
@@ -239,3 +242,80 @@ class TestDeterminism:
         assert first.objective_value == second.objective_value
         assert np.array_equal(first.x, second.x)
         assert np.array_equal(first.row_duals, second.row_duals)
+
+
+@st.composite
+def mixed_lps(draw):
+    """Feasible by construction: == rows, <= and >= rows and bounds all hold
+    at a small-integer point p, and zero slacks make p a degenerate vertex.
+    Some variables are free; the program may be unbounded."""
+    n = draw(st.integers(1, 5))
+    small = st.integers(-2, 2)
+    p = np.array(draw(st.lists(small, min_size=n, max_size=n)), dtype=float)
+    rows, senses, rhs = [], [], []
+    for _ in range(draw(st.integers(0, 6))):
+        row = np.array(draw(st.lists(small, min_size=n, max_size=n)), dtype=float)
+        sense = draw(st.sampled_from(("<=", ">=", "==")))
+        slack = 0.0 if sense == "==" else float(draw(st.integers(0, 2)))
+        rows.append(row)
+        senses.append(sense)
+        rhs.append(row @ p + (slack if sense == "<=" else -slack))
+    lower = np.empty(n)
+    upper = np.empty(n)
+    for j in range(n):
+        free = draw(st.booleans())
+        lower[j] = -np.inf if free else p[j] - draw(st.integers(0, 2))
+        upper[j] = np.inf if draw(st.booleans()) else p[j] + draw(st.integers(0, 2))
+    objective = np.array(draw(st.lists(small, min_size=n, max_size=n)), dtype=float)
+    return linear_program(objective, np.reshape(rows, (len(rows), n)), senses, rhs, lower, upper)
+
+
+def highs(lp):
+    """scipy.optimize.linprog (HiGHS) on the same program, maximized."""
+    optimize = pytest.importorskip("scipy.optimize")
+    ub = [i for i, sense in enumerate(lp.senses) if sense != "=="]
+    eq = [i for i, sense in enumerate(lp.senses) if sense == "=="]
+    sign = np.array([1.0 if lp.senses[i] == "<=" else -1.0 for i in ub])
+    return optimize.linprog(
+        -lp.objective,
+        A_ub=lp.a_matrix[ub] * sign[:, None] if ub else None,
+        b_ub=lp.rhs[ub] * sign if ub else None,
+        A_eq=lp.a_matrix[eq] if eq else None,
+        b_eq=lp.rhs[eq] if eq else None,
+        bounds=[
+            (None if np.isneginf(lo) else lo, None if np.isposinf(hi) else hi)
+            for lo, hi in zip(lp.lower, lp.upper)
+        ],
+        method="highs",
+    )
+
+
+class TestAgainstHighs:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mixed_lps())
+    def test_equality_rows_free_variables_degenerate_vertices(self, lp):
+        ref = highs(lp)
+        assert ref.status in (0, 3)  # optimal or unbounded: never infeasible
+        sol = solve_lp(lp)
+        if ref.status == 3:
+            assert sol.status == "unbounded"
+            return
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-7)
+        assert check_feasible(lp, sol.x) == []
+
+    def test_degenerate_vertex_with_equality_and_free_rows(self):
+        # max x + y + z st x + y + z == 1, x - y == 0, x + y <= 1, x + y >= 1,
+        # z free: four rows through the vertex (1/2, 1/2, 0)
+        lp = linear_program(
+            [1.0, 1.0, 1.0],
+            [[1, 1, 1], [1, -1, 0], [1, 1, 0], [1, 1, 0]],
+            ["==", "==", "<=", ">="],
+            [1.0, 0.0, 1.0, 1.0],
+            lower=[0.0, 0.0, -np.inf],
+        )
+        ref = highs(lp)
+        sol = solve_lp(lp)
+        assert sol.status == "optimal" and ref.status == 0
+        assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-9)
+        assert sol.x == pytest.approx([0.5, 0.5, 0.0], abs=1e-9)
