@@ -6,12 +6,16 @@ line with the measured numbers. Budgeted runtimes are asserted where they
 matter; the minimax-Q criterion dominates the wall time of this module.
 """
 
+import hashlib
 import itertools
 import json
+import platform
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gtmarl.cli import main as cli_main
 from gtmarl.dynamics import (
@@ -653,27 +657,32 @@ def test_criterion_11_belief_filter(capfd):
            f"inconsistency raised={raised}")
 
 
+# The acceptance-12 commands. test_cli_outputs_match_pinned_digests below
+# also pins their outputs by sha256.
+CLI_DETERMINISM_COMMANDS = [
+    ["solve", "minimax", "--game", "classic:rps", "--seed", "0"],
+    ["solve", "nash-enum", "--game", "classic:chicken", "--seed", "0"],
+    ["solve", "ce", "--game", "classic:chicken", "--objective", "utilitarian",
+     "--seed", "0"],
+    ["learn", "minimax-q", "--game", "random:zs-stoch:2:2x2:0.9",
+     "--steps", "1000", "--seed", "1", "--oracle"],
+    ["learn", "ce-q", "--game", "random:stoch:2:2x2:0.9",
+     "--steps", "500", "--seed", "2"],
+    ["learn", "regret", "--game", "classic:rps", "--steps", "2000",
+     "--mode", "internal", "--seed", "3"],
+    ["learn", "fp", "--game", "classic:matching_pennies", "--steps", "300",
+     "--seed", "4"],
+    ["learn", "replicator", "--game", "classic:rps", "--x0", "0.5,0.3,0.2",
+     "--steps", "200", "--seed", "5"],
+    ["learn", "lola", "--game", "classic:prisoners_dilemma", "--steps", "20",
+     "--learner", "naive", "--seed", "6"],
+    ["learn", "merl", "--generations", "2", "--population", "4",
+     "--horizon", "8", "--seed", "7"],
+]
+
+
 def test_criterion_12_cli_determinism(tmp_path, capfd):
-    commands = [
-        ["solve", "minimax", "--game", "classic:rps", "--seed", "0"],
-        ["solve", "nash-enum", "--game", "classic:chicken", "--seed", "0"],
-        ["solve", "ce", "--game", "classic:chicken", "--objective", "utilitarian",
-         "--seed", "0"],
-        ["learn", "minimax-q", "--game", "random:zs-stoch:2:2x2:0.9",
-         "--steps", "1000", "--seed", "1", "--oracle"],
-        ["learn", "ce-q", "--game", "random:stoch:2:2x2:0.9",
-         "--steps", "500", "--seed", "2"],
-        ["learn", "regret", "--game", "classic:rps", "--steps", "2000",
-         "--mode", "internal", "--seed", "3"],
-        ["learn", "fp", "--game", "classic:matching_pennies", "--steps", "300",
-         "--seed", "4"],
-        ["learn", "replicator", "--game", "classic:rps", "--x0", "0.5,0.3,0.2",
-         "--steps", "200", "--seed", "5"],
-        ["learn", "lola", "--game", "classic:prisoners_dilemma", "--steps", "20",
-         "--learner", "naive", "--seed", "6"],
-        ["learn", "merl", "--generations", "2", "--population", "4",
-         "--horizon", "8", "--seed", "7"],
-    ]
+    commands = CLI_DETERMINISM_COMMANDS
     mismatches = []
     for idx, argv in enumerate(commands):
         dirs = [tmp_path / f"cmd{idx}_a", tmp_path / f"cmd{idx}_b"]
@@ -697,3 +706,42 @@ def test_criterion_12_cli_determinism(tmp_path, capfd):
     ok = not mismatches
     report(capfd, 12, "cli byte determinism", ok,
            f"{len(commands)} commands rerun, mismatches={mismatches or 'none'}")
+
+
+PINNED_DIGESTS = Path(__file__).with_name("cli_digests.json")
+
+
+def cli_output_digests(root) -> dict:
+    """sha256 of every non-manifest output of the acceptance-12 commands,
+    keyed by the command line and then the file name."""
+    digests = {}
+    for idx, argv in enumerate(CLI_DETERMINISM_COMMANDS):
+        out = Path(root) / f"cmd{idx}"
+        assert cli_main(argv + ["--out", str(out)]) == 0, argv
+        digests[" ".join(argv)] = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())
+            if not p.name.endswith("_manifest.json")
+        }
+    return digests
+
+
+def this_platform() -> dict:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+    }
+
+
+def test_cli_outputs_match_pinned_digests(tmp_path):
+    """A refactor guard: the CLI outputs keep the exact bytes pinned in
+    cli_digests.json. Floating-point results may differ in the last bit on
+    another Python, numpy or CPU, so the digests are checked only on the
+    platform they were taken on. Re-pin (write `cli_output_digests` and
+    `this_platform` to the file) only for a change that alters an output
+    on purpose, and say so in CHANGES.md."""
+    pinned = json.loads(PINNED_DIGESTS.read_text())
+    if pinned["platform"] != this_platform():
+        pytest.skip(f"digests were pinned on {pinned['platform']}, this is {this_platform()}")
+    assert cli_output_digests(tmp_path) == pinned["outputs"]
