@@ -14,11 +14,13 @@ Exit codes: 0 success, 2 config or parse error, 3 precondition violation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,8 +66,6 @@ from .merl import MerlConfig, merl_train, write_merl_csv
 from .output import RunManifest, write_csv, write_json
 from .shaping import LOLA, NAIVE, LolaConfig, iterated_game, train_shapers, write_shaping_csv
 
-SOLVE_METHODS = ("minimax", "nash-enum", "ce")
-LEARN_METHODS = ("minimax-q", "ce-q", "regret", "fp", "replicator", "lola", "merl")
 OBJECTIVE_ALIASES = {
     "utilitarian": UTILITARIAN,
     "egalitarian": EGALITARIAN,
@@ -74,14 +74,20 @@ OBJECTIVE_ALIASES = {
     EGALITARIAN: EGALITARIAN,
     PLUTOCRATIC: PLUTOCRATIC,
 }
-DEFAULT_STEPS = {
-    "minimax-q": 10000,
-    "ce-q": 5000,
-    "regret": 10000,
-    "fp": 1000,
-    "replicator": 1000,
-    "lola": 500,
-}
+GAME_KINDS = {"matrix": MatrixGame, "stochastic": StochasticGame}
+
+# The dataclass fields each learner reads from the config, in reading order.
+SCHEDULE_FIELDS = ("alpha0", "alpha_decay", "epsilon0", "epsilon_decay", "episode_length")
+REPLICATOR_FIELDS = ("dt",)
+LOLA_FIELDS = ("gamma", "alpha", "beta")
+MERL_FIELDS = (
+    "num_agents", "population", "elite_count", "generations", "horizon", "epsilon_meet",
+    "init_range", "buffer_capacity", "batch_size", "pg_updates", "alpha_q", "alpha_pi",
+    "tau", "gamma", "mutation_sigma", "migration_period", "eval_episodes",
+)
+FIELD_KEYS = {"num_agents": "agents"}   # fields read under another config key
+# Casts by annotation; the config modules postpone annotations, so these are strings.
+FIELD_CASTS = {"int": int, "int | None": int, "float": float, "str": str}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,13 +98,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="one-shot equilibrium computation")
-    solve.add_argument("method", choices=SOLVE_METHODS)
+    solve.add_argument("method", choices=SOLVERS)
     _common_flags(solve)
     solve.add_argument("--objective", help="CE objective (utilitarian/egalitarian/plutocratic)")
     solve.add_argument("--eps", type=float, help="verification tolerance (default 1e-9)")
 
     learn = sub.add_parser("learn", help="iterative algorithms with curve output")
-    learn.add_argument("method", choices=LEARN_METHODS)
+    learn.add_argument("method", choices=LEARNERS)
     _common_flags(learn)
     learn.add_argument("--steps", type=int, help="iteration budget")
     learn.add_argument("--record-every", type=int, help="curve sampling period")
@@ -265,16 +271,27 @@ def _load_game(cfg: dict, seed: int | None):
     return _game_from_source(str(source), seed)
 
 
-def _require_matrix(game) -> MatrixGame:
-    if not isinstance(game, MatrixGame):
-        raise SpecError("this command expects a matrix game source")
+def _require(game, kind: str):
+    if not isinstance(game, GAME_KINDS[kind]):
+        raise SpecError(f"this command expects a {kind} game source")
     return game
 
 
-def _require_stochastic_game(game) -> StochasticGame:
-    if not isinstance(game, StochasticGame):
-        raise SpecError("this command expects a stochastic game source")
-    return game
+def _config(cls, cfg: dict, names, **fixed):
+    """cls(**fixed) with the fields in names read from cfg, in that order.
+    Each field takes its default and its type from the dataclass; a str
+    field also takes its default for an empty value."""
+    by_name = {f.name: f for f in dataclasses.fields(cls)}
+    values = {}
+    for name in names:
+        f = by_name[name]
+        key = FIELD_KEYS.get(name, name)
+        cast = FIELD_CASTS[f.type]
+        if cast is str:
+            values[name] = str(cfg.get(key) or f.default)
+        else:
+            values[name] = _get(cfg, key, cast, f.default)
+    return cls(**values, **fixed)
 
 
 def _finish(out: Path, stem: str, cfg: dict, files: list, started: float) -> int:
@@ -292,6 +309,61 @@ def _finish(out: Path, stem: str, cfg: dict, files: list, started: float) -> int
 
 
 # --- solve -------------------------------------------------------------------
+# Each solver maps (game, config, eps) to the solution and verification docs.
+
+def _solve_minimax(game: MatrixGame, cfg: dict, eps: float) -> tuple[dict, dict]:
+    sol = minimax_solve(game)
+    report = epsilon_nash_check(game, sol.strategies, eps)
+    solution = {
+        "value": sol.value,
+        "row_strategy": sol.strategies.mixtures[0],
+        "col_strategy": sol.strategies.mixtures[1],
+    }
+    verification = {
+        "passed": report.passed,
+        "eps": report.eps,
+        "best_response_gains": report.gains,
+    }
+    return solution, verification
+
+
+def _solve_nash_enum(game: MatrixGame, cfg: dict, eps: float) -> tuple[dict, dict]:
+    profiles = support_enumeration_nash(game)
+    reports = [epsilon_nash_check(game, p, eps) for p in profiles]
+    solution = {
+        "count": len(profiles),
+        "equilibria": [list(p.mixtures) for p in profiles],
+    }
+    verification = {
+        "passed": all(r.passed for r in reports),
+        "eps": eps,
+        "best_response_gains": [r.gains for r in reports],
+    }
+    return solution, verification
+
+
+def _solve_ce(game: MatrixGame, cfg: dict, eps: float) -> tuple[dict, dict]:
+    objective = _objective(cfg)
+    policy = correlated_eq_solve(game, objective)
+    report = ce_check(game, policy, eps)
+    welfare = [float(policy.probs @ game.payoff_flat(i)) for i in range(game.num_agents)]
+    solution = {
+        "objective": objective,
+        "distribution": policy.probs,
+        "welfare_per_agent": welfare,
+        "welfare_total": float(sum(welfare)),
+    }
+    verification = {
+        "passed": report.passed,
+        "eps": eps,
+        "max_violation": report.max_violation,
+        "violations": report.violations,
+    }
+    return solution, verification
+
+
+SOLVERS = {"minimax": _solve_minimax, "nash-enum": _solve_nash_enum, "ce": _solve_ce}
+
 
 def _run_solve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
@@ -299,75 +371,33 @@ def _run_solve(args: argparse.Namespace) -> int:
     seed = _require_seed(cfg)
     eps = _get(cfg, "eps", float, 1e-9)
     out = _out_dir(cfg)
-    game = _require_matrix(_load_game(cfg, seed))
-    method = args.method
-    stem = method.replace("-", "_")
-
-    if method == "minimax":
-        sol = minimax_solve(game)
-        report = epsilon_nash_check(game, sol.strategies, eps)
-        solution = {
-            "method": method,
-            "value": sol.value,
-            "row_strategy": sol.strategies.mixtures[0],
-            "col_strategy": sol.strategies.mixtures[1],
-        }
-        verification = {
-            "passed": report.passed,
-            "eps": report.eps,
-            "best_response_gains": report.gains,
-        }
-    elif method == "nash-enum":
-        profiles = support_enumeration_nash(game)
-        reports = [epsilon_nash_check(game, p, eps) for p in profiles]
-        solution = {
-            "method": method,
-            "count": len(profiles),
-            "equilibria": [list(p.mixtures) for p in profiles],
-        }
-        verification = {
-            "passed": all(r.passed for r in reports),
-            "eps": eps,
-            "best_response_gains": [r.gains for r in reports],
-        }
-    else:
-        objective = _objective(cfg)
-        policy = correlated_eq_solve(game, objective)
-        report = ce_check(game, policy, eps)
-        welfare = [float(policy.probs @ game.payoff_flat(i)) for i in range(game.num_agents)]
-        solution = {
-            "method": method,
-            "objective": objective,
-            "distribution": policy.probs,
-            "welfare_per_agent": welfare,
-            "welfare_total": float(sum(welfare)),
-        }
-        verification = {
-            "passed": report.passed,
-            "eps": eps,
-            "max_violation": report.max_violation,
-            "violations": report.violations,
-        }
+    game = _require(_load_game(cfg, seed), "matrix")
+    stem = args.method.replace("-", "_")
+    solution, verification = SOLVERS[args.method](game, cfg, eps)
 
     solution_path = out / f"{stem}_solution.json"
     report_path = out / f"{stem}_report.json"
-    write_json(solution_path, solution)
+    write_json(solution_path, {"method": args.method, **solution})
     write_json(report_path, verification)
     return _finish(out, stem, cfg, [solution_path, report_path], started)
 
 
 # --- learn -------------------------------------------------------------------
+# Each runner writes the curve CSV and returns the result doc. Runners call
+# the library by its name in this module at call time, so that a wrapper
+# installed on that name (the benchmark's tracer) sees the call.
 
-def _schedule(cfg: dict, steps: int, seed: int) -> LearningSchedule:
-    return LearningSchedule(
-        alpha0=_get(cfg, "alpha0", float, 1.0),
-        alpha_decay=str(cfg.get("alpha_decay") or ONE_OVER_VISITS),
-        epsilon0=_get(cfg, "epsilon0", float, 0.2),
-        epsilon_decay=str(cfg.get("epsilon_decay") or CONSTANT),
-        max_steps=steps,
-        seed=seed,
-        episode_length=_get(cfg, "episode_length", int, None),
-    )
+class _Run(NamedTuple):
+    cfg: dict
+    seed: int
+    game: object        # None for MERL, which builds its own environment
+    steps: int | None
+    record_every: int
+    curve: Path
+
+
+def _schedule(run: _Run) -> LearningSchedule:
+    return _config(LearningSchedule, run.cfg, SCHEDULE_FIELDS, max_steps=run.steps, seed=run.seed)
 
 
 def _parse_x0(raw, size: int) -> np.ndarray:
@@ -385,139 +415,130 @@ def _parse_x0(raw, size: int) -> np.ndarray:
     return np.asarray(values)
 
 
+def _learn_minimax_q(run: _Run) -> dict:
+    oracle = shapley_value_iteration(run.game).values if run.cfg.get("oracle") else None
+    res = minimax_q_train(run.game, _schedule(run), run.record_every, oracle)
+    result = {
+        "values": res.values,
+        "policies": res.policies,
+        "opponent_policies": res.opponent_policies,
+        "q": res.q.tables[0],
+    }
+    if oracle is None:
+        write_csv(run.curve, ["step", "mean_reward"], [row[:2] for row in res.curve])
+        return result
+    write_csv(run.curve, ["step", "mean_reward", "sup_value_error"], res.curve)
+    result["oracle_values"] = oracle
+    result["sup_value_error"] = float(np.max(np.abs(res.values - oracle)))
+    return result
+
+
+def _learn_ce_q(run: _Run) -> dict:
+    objective = _objective(run.cfg)
+    res = correlated_q_train(run.game, objective, _schedule(run), run.record_every)
+    header = ["step"] + [f"mean_reward_{i + 1}" for i in range(run.game.num_agents)]
+    write_csv(run.curve, header, res.curve)
+    return {
+        "objective": objective,
+        "stage_policies": res.stage_policies,
+        "q": list(res.q.tables),
+    }
+
+
+def _learn_regret(run: _Run) -> dict:
+    mode = str(run.cfg.get("mode") or EXTERNAL)
+    res = regret_matching_play(run.game, run.steps, mode, run.seed, run.record_every)
+    write_csv(run.curve, ["step", "max_avg_positive_regret"], res.curve)
+    report = ce_check(run.game, res.empirical, _get(run.cfg, "eps", float, 0.05))
+    return {
+        "mode": mode,
+        "empirical": res.empirical,
+        "ce_check_passed": report.passed,
+        "ce_max_violation": report.max_violation,
+    }
+
+
+def _learn_fp(run: _Run) -> dict:
+    res = fictitious_play(run.game, run.steps)
+    rows = [(t + 1, res.exploitability[t]) for t in range(run.steps)]
+    write_csv(run.curve, ["step", "exploitability"], rows)
+    return {
+        "empirical": list(res.empirical),
+        "final_exploitability": float(res.exploitability[-1]),
+    }
+
+
+def _learn_replicator(run: _Run) -> dict:
+    matrix = run.game.payoffs[0]
+    x0 = _parse_x0(run.cfg.get("x0"), run.game.actions[0])
+    params = _config(DynamicsParams, run.cfg, REPLICATOR_FIELDS, steps=run.steps)
+    trajectory = integrate_replicator(
+        matrix, x0, params, method=str(run.cfg.get("integrator") or "rk4")
+    )
+    write_trajectory_csv(run.curve, trajectory, params.dt)
+    return {
+        "final": trajectory[-1],
+        "fixed_point": fixed_point_check(matrix, trajectory[-1], 1e-6),
+    }
+
+
+def _learn_lola(run: _Run) -> dict:
+    config = _config(LolaConfig, run.cfg, LOLA_FIELDS, steps=run.steps, seed=run.seed)
+    trajectory = train_shapers(
+        iterated_game(run.game, config.gamma), config, str(run.cfg.get("learner") or LOLA)
+    )
+    write_shaping_csv(run.curve, trajectory)
+    return {
+        "theta1": trajectory.thetas1[-1],
+        "theta2": trajectory.thetas2[-1],
+        "values": trajectory.values[-1],
+    }
+
+
+def _learn_merl(run: _Run) -> dict:
+    config = _config(MerlConfig, run.cfg, MERL_FIELDS, seed=run.seed)
+    res = merl_train(config)
+    echo = {k: v for k, v in run.cfg.items() if k != "out"}
+    write_merl_csv(run.curve, res, json.dumps(echo, sort_keys=True))
+    return {
+        "best_fitness": res.best_fitness,
+        "best_genome": res.best_genome,
+        "pg_genome": res.pg_genome,
+        "generations": config.generations,
+    }
+
+
+class Learner(NamedTuple):
+    run: Callable[[_Run], dict]
+    game: str | None    # the GAME_KINDS entry the method needs; None: no game
+    steps: int | None   # the --steps default; None: the method has no step budget
+
+
+LEARNERS = {
+    "minimax-q": Learner(_learn_minimax_q, "stochastic", LearningSchedule.max_steps),
+    "ce-q": Learner(_learn_ce_q, "stochastic", 5000),
+    "regret": Learner(_learn_regret, "matrix", 10000),
+    "fp": Learner(_learn_fp, "matrix", 1000),
+    "replicator": Learner(_learn_replicator, "matrix", DynamicsParams.steps),
+    "lola": Learner(_learn_lola, "matrix", LolaConfig.steps),
+    "merl": Learner(_learn_merl, None, None),
+}
+
+
 def _run_learn(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     cfg = _merged_config(args)
     seed = _require_seed(cfg)
     out = _out_dir(cfg)
-    method = args.method
-    stem = method.replace("-", "_")
-    steps = _get(cfg, "steps", int, DEFAULT_STEPS.get(method, 1000))
-    record_every = _get(cfg, "record_every", int, max(1, steps // 100))
+    learner = LEARNERS[args.method]
+    stem = args.method.replace("-", "_")
+    # MERL uses neither steps nor record_every, but a malformed value still exits 2.
+    steps = _get(cfg, "steps", int, learner.steps)
+    record_every = _get(cfg, "record_every", int, max(1, (steps or 0) // 100))
+    game = None if learner.game is None else _require(_load_game(cfg, seed), learner.game)
     curve_path = out / f"{stem}_curve.csv"
     result_path = out / f"{stem}_result.json"
-
-    if method == "minimax-q":
-        game = _require_stochastic_game(_load_game(cfg, seed))
-        oracle = None
-        if cfg.get("oracle"):
-            oracle = shapley_value_iteration(game).values
-        res = minimax_q_train(game, _schedule(cfg, steps, seed), record_every, oracle)
-        if oracle is not None:
-            header = ["step", "mean_reward", "sup_value_error"]
-            rows = res.curve
-        else:
-            header = ["step", "mean_reward"]
-            rows = [row[:2] for row in res.curve]
-        write_csv(curve_path, header, rows)
-        result = {
-            "values": res.values,
-            "policies": res.policies,
-            "opponent_policies": res.opponent_policies,
-            "q": res.q.tables[0],
-        }
-        if oracle is not None:
-            result["oracle_values"] = oracle
-            result["sup_value_error"] = float(np.max(np.abs(res.values - oracle)))
-    elif method == "ce-q":
-        game = _require_stochastic_game(_load_game(cfg, seed))
-        objective = _objective(cfg)
-        res = correlated_q_train(game, objective, _schedule(cfg, steps, seed), record_every)
-        header = ["step"] + [f"mean_reward_{i + 1}" for i in range(game.num_agents)]
-        write_csv(curve_path, header, res.curve)
-        result = {
-            "objective": objective,
-            "stage_policies": res.stage_policies,
-            "q": list(res.q.tables),
-        }
-    elif method == "regret":
-        game = _require_matrix(_load_game(cfg, seed))
-        mode = str(cfg.get("mode") or EXTERNAL)
-        res = regret_matching_play(game, steps, mode, seed, record_every)
-        write_csv(curve_path, ["step", "max_avg_positive_regret"], res.curve)
-        report = ce_check(game, res.empirical, _get(cfg, "eps", float, 0.05))
-        result = {
-            "mode": mode,
-            "empirical": res.empirical,
-            "ce_check_passed": report.passed,
-            "ce_max_violation": report.max_violation,
-        }
-    elif method == "fp":
-        game = _require_matrix(_load_game(cfg, seed))
-        res = fictitious_play(game, steps)
-        rows = [(t + 1, res.exploitability[t]) for t in range(steps)]
-        write_csv(curve_path, ["step", "exploitability"], rows)
-        result = {
-            "empirical": list(res.empirical),
-            "final_exploitability": float(res.exploitability[-1]),
-        }
-    elif method == "replicator":
-        game = _require_matrix(_load_game(cfg, seed))
-        matrix = game.payoffs[0]
-        x0 = _parse_x0(cfg.get("x0"), game.actions[0])
-        params = DynamicsParams(
-            dt=_get(cfg, "dt", float, 0.01),
-            steps=steps,
-        )
-        trajectory = integrate_replicator(
-            matrix, x0, params, method=str(cfg.get("integrator") or "rk4")
-        )
-        write_trajectory_csv(curve_path, trajectory, params.dt)
-        result = {
-            "final": trajectory[-1],
-            "fixed_point": fixed_point_check(matrix, trajectory[-1], 1e-6),
-        }
-    elif method == "lola":
-        game = _require_matrix(_load_game(cfg, seed))
-        gamma = _get(cfg, "gamma", float, 0.96)
-        config = LolaConfig(
-            alpha=_get(cfg, "alpha", float, 1.0),
-            beta=_get(cfg, "beta", float, 1.0),
-            gamma=gamma,
-            steps=steps,
-            seed=seed,
-        )
-        trajectory = train_shapers(
-            iterated_game(game, gamma), config, str(cfg.get("learner") or LOLA)
-        )
-        write_shaping_csv(curve_path, trajectory)
-        result = {
-            "theta1": trajectory.thetas1[-1],
-            "theta2": trajectory.thetas2[-1],
-            "values": trajectory.values[-1],
-        }
-    else:
-        config = MerlConfig(
-            num_agents=_get(cfg, "agents", int, 3),
-            population=_get(cfg, "population", int, 10),
-            elite_count=_get(cfg, "elite_count", int, 2),
-            generations=_get(cfg, "generations", int, 50),
-            horizon=_get(cfg, "horizon", int, 25),
-            epsilon_meet=_get(cfg, "epsilon_meet", float, 0.5),
-            init_range=_get(cfg, "init_range", float, 3.0),
-            buffer_capacity=_get(cfg, "buffer_capacity", int, 20000),
-            batch_size=_get(cfg, "batch_size", int, 64),
-            pg_updates=_get(cfg, "pg_updates", int, 10),
-            alpha_q=_get(cfg, "alpha_q", float, 5e-3),
-            alpha_pi=_get(cfg, "alpha_pi", float, 5e-3),
-            tau=_get(cfg, "tau", float, 0.05),
-            gamma=_get(cfg, "gamma", float, 0.95),
-            mutation_sigma=_get(cfg, "mutation_sigma", float, 0.1),
-            migration_period=_get(cfg, "migration_period", int, 5),
-            eval_episodes=_get(cfg, "eval_episodes", int, 5),
-            seed=seed,
-        )
-        res = merl_train(config)
-        echo = {k: v for k, v in cfg.items() if k != "out"}
-        write_merl_csv(curve_path, res, json.dumps(echo, sort_keys=True))
-        result = {
-            "best_fitness": res.best_fitness,
-            "best_genome": res.best_genome,
-            "pg_genome": res.pg_genome,
-            "generations": config.generations,
-        }
-
-    write_json(result_path, result)
+    write_json(result_path, learner.run(_Run(cfg, seed, game, steps, record_every, curve_path)))
     return _finish(out, stem, cfg, [curve_path, result_path], started)
 
 

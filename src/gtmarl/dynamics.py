@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import IntegrationError, SpecError
-from .output import format_float
+from .output import write_csv
 
 NEGATIVE_DRIFT_TOL = -1e-12
 
@@ -162,7 +161,4 @@ def write_trajectory_csv(path, trajectory, dt: float) -> None:
     """Trajectory dump: columns t, x_1 .. x_m."""
     traj = np.asarray(trajectory, dtype=float)
     header = ["t"] + [f"x_{i + 1}" for i in range(traj.shape[1])]
-    lines = [",".join(header)]
-    for i, row in enumerate(traj):
-        lines.append(",".join([format_float(i * dt)] + [format_float(v) for v in row]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, header, ([i * dt, *row] for i, row in enumerate(traj)))

@@ -142,6 +142,11 @@ def joint_tuple(actions: tuple[int, ...], index: int) -> tuple[int, ...]:
     return tuple(int(v) for v in np.unravel_index(index, actions))
 
 
+def _is_zero_sum(tensors) -> bool:
+    """Two agents whose payoff or reward tensors cancel to ZERO_SUM_TOL."""
+    return len(tensors) == 2 and bool(np.max(np.abs(tensors[0] + tensors[1])) <= ZERO_SUM_TOL)
+
+
 def build_matrix_game(actions, payoff_entries) -> MatrixGame:
     """Assemble a matrix game from per-agent flat payoff vectors.
 
@@ -167,10 +172,7 @@ def build_matrix_game(actions, payoff_entries) -> MatrixGame:
             )
         _require_finite(flat, f"payoffs for agent {i}")
         tensors.append(_frozen(flat.reshape(actions)))
-    zero_sum = len(actions) == 2 and bool(
-        np.max(np.abs(tensors[0] + tensors[1])) <= ZERO_SUM_TOL
-    )
-    return MatrixGame(actions=actions, payoffs=tuple(tensors), zero_sum=zero_sum)
+    return MatrixGame(actions=actions, payoffs=tuple(tensors), zero_sum=_is_zero_sum(tensors))
 
 
 def make_stochastic_game(actions, transition, rewards, discount) -> StochasticGame:
@@ -207,16 +209,13 @@ def make_stochastic_game(actions, transition, rewards, discount) -> StochasticGa
         raise GameFormatError(
             f"got rewards for {len(tensors)} agents, expected {len(actions)}"
         )
-    zero_sum = len(actions) == 2 and bool(
-        np.max(np.abs(tensors[0] + tensors[1])) <= ZERO_SUM_TOL
-    )
     return StochasticGame(
         num_states=states,
         actions=actions,
         transition=_frozen(p),
         rewards=tuple(tensors),
         discount=float(discount),
-        zero_sum=zero_sum,
+        zero_sum=_is_zero_sum(tensors),
     )
 
 

@@ -293,8 +293,7 @@ def correlated_q_train(
     """General-sum correlated-Q: the joint action is sampled from a shared
     correlated-equilibrium distribution of the per-state stage game; each
     agent bootstraps with the stage expectation of its own Q."""
-    if not isinstance(game, StochasticGame):
-        raise SpecError("a stochastic game is required")
+    _require_stochastic(game, zero_sum=False, two_player=False)
     n = game.num_agents
     states, joint = game.num_states, game.joint_actions
     gamma = game.discount
@@ -577,8 +576,7 @@ def simulate_episode(
     """Seeded rollout. policies is either a sequence of per-agent arrays
     (states, own actions) sampled independently, or a single array
     (states, joint actions) sampled as a correlated device."""
-    if not isinstance(game, StochasticGame):
-        raise SpecError("a stochastic game is required")
+    _require_stochastic(game, zero_sum=False, two_player=False)
     if horizon < 1:
         raise SpecError(f"horizon {horizon} must be at least 1")
     if not 0 <= start_state < game.num_states:

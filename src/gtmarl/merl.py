@@ -16,12 +16,11 @@ trajectory bit-identical whether or not gradient updates run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import SpecError
-from .output import format_float
+from .output import write_csv
 
 FEATURE_DIM = 3  # own position, centroid of the others, bias
 CRITIC_DIM = 1 + 2 * FEATURE_DIM  # a^2, a * phi, phi
@@ -453,19 +452,8 @@ def merl_train(config: MerlConfig) -> MerlResult:
 
 def write_merl_csv(path, result: MerlResult, config_echo: str = "") -> None:
     header = ["generation", "best_fitness", "mean_fitness", "pg_fitness", "best_ever"]
-    comments = [f"config {config_echo}"] if config_echo else []
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    for row in result.history:
-        lines.append(
-            ",".join(
-                [
-                    str(row.generation),
-                    format_float(row.best_fitness),
-                    format_float(row.mean_fitness),
-                    format_float(row.pg_fitness),
-                    format_float(row.best_ever),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (
+        (r.generation, r.best_fitness, r.mean_fitness, r.pg_fitness, r.best_ever)
+        for r in result.history
+    )
+    write_csv(path, header, rows, [f"config {config_echo}"] if config_echo else [])

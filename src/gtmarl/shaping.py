@@ -16,13 +16,12 @@ differences over the exact first-order gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DivergenceError, NumericalError, SpecError
 from .games import MatrixGame
-from .output import format_float
+from .output import write_csv
 
 THETA_DIM = 5
 LOGIT_LIMIT = 50.0
@@ -264,15 +263,10 @@ def write_shaping_csv(path, trajectory: ShapingTrajectory) -> None:
         + [f"p1_coop_{tag}" for tag in ("init", "cc", "cd", "dc", "dd")]
         + [f"p2_coop_{tag}" for tag in ("init", "cc", "cd", "dc", "dd")]
     )
-    lines = [",".join(header)]
     probs1 = _sigmoid(trajectory.thetas1)
     probs2 = _sigmoid(trajectory.thetas2)
-    for t in range(trajectory.values.shape[0]):
-        cells = (
-            [str(t)]
-            + [format_float(v) for v in trajectory.values[t]]
-            + [format_float(v) for v in probs1[t]]
-            + [format_float(v) for v in probs2[t]]
-        )
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (
+        [t, *trajectory.values[t], *probs1[t], *probs2[t]]
+        for t in range(trajectory.values.shape[0])
+    )
+    write_csv(path, header, rows)

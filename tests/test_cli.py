@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from gtmarl import learners
+from gtmarl import cli, learners
 from gtmarl.cli import main
 from gtmarl.errors import NumericalError
 from gtmarl.games import classic_game, game_to_dict, random_game, save_game
@@ -330,6 +330,66 @@ class TestConfigPlumbing:
         rc = run(["solve", "minimax", "--game", "classic:rps", "--seed", 0])
         assert rc == 0
         assert (target / "minimax_solution.json").exists()
+
+    def test_config_only_merl_field_changes_curve(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"elite_count": 1}))
+        argv = ["learn", "merl", "--generations", 5, "--population", 6,
+                "--horizon", 10, "--seed", 7]
+        assert run(argv + ["--out", tmp_path / "a"]) == 0
+        assert run(argv + ["--config", cfg, "--out", tmp_path / "b"]) == 0
+        curves = [(tmp_path / d / "merl_curve.csv").read_text().splitlines() for d in "ab"]
+        assert '"elite_count": 1' in curves[1][0]
+        assert curves[0][1:] != curves[1][1:]
+
+    def test_schedule_fields_reach_minimax_q(self, tmp_path, monkeypatch):
+        schedules = []
+        real = cli.minimax_q_train
+
+        def spy(game, schedule, *rest):
+            schedules.append(schedule)
+            return real(game, schedule, *rest)
+
+        monkeypatch.setattr(cli, "minimax_q_train", spy)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"episode_length": 5, "alpha_decay": "", "epsilon_decay": ""}
+        ))
+        argv = ["learn", "minimax-q", "--game", "random:zs-stoch:2:2x2:0.9",
+                "--steps", 50, "--seed", 1, "--out", tmp_path]
+        assert run(argv) == 0
+        assert run(argv + ["--config", cfg]) == 0
+        plain, configured = schedules
+        assert plain.episode_length is None
+        assert configured.episode_length == 5
+        # An empty decay tag means the field default.
+        assert configured.alpha_decay == plain.alpha_decay == learners.ONE_OVER_VISITS
+        assert configured.epsilon_decay == plain.epsilon_decay == learners.CONSTANT
+        assert configured.max_steps == 50
+
+    def test_bad_field_type_names_field(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau": "x"}))
+        rc = run(["learn", "merl", "--config", cfg, "--seed", 7, "--out", tmp_path])
+        assert rc == 2
+        assert "config field 'tau'" in capsys.readouterr().err
+
+
+class TestFlagSet:
+    """The option names of solve and learn are pinned: a new knob must be
+    added here on purpose."""
+
+    @pytest.mark.parametrize("command, options", [
+        ("solve", "config eps game objective out seed"),
+        ("learn", "agents alpha alpha-decay alpha0 beta config dt episode-length "
+                  "epsilon-decay epsilon0 game gamma generations horizon integrator "
+                  "learner mode objective oracle out population record-every seed "
+                  "steps x0"),
+    ])
+    def test_option_names(self, command, options, capsys):
+        assert run([command, "--help"]) == 0
+        found = set(re.findall(r"--([\w-]+)", capsys.readouterr().out))
+        assert found == set(options.split()) | {"help"}
 
 
 class TestByteIdenticalReruns:
