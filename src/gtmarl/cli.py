@@ -49,6 +49,7 @@ from .games import (
     classic_game,
     load_game,
     random_game,
+    read_game_doc,
 )
 from .learners import (
     CONSTANT,
@@ -222,8 +223,6 @@ def _parse_action_shape(text: str) -> tuple[int, ...]:
         shape = tuple(int(part) for part in text.split("x"))
     except ValueError:
         raise GameFormatError(f"bad action shape {text!r}; expected e.g. 2x2")
-    if not shape or any(k < 1 for k in shape):
-        raise GameFormatError(f"bad action shape {text!r}; entries must be positive")
     return shape
 
 
@@ -258,10 +257,7 @@ def _game_from_source(source: str, seed: int | None):
             f"bad random game spec {source!r}; expected random:[zs-]matrix:AxB "
             "or random:[zs-]stoch:S:AxB:GAMMA"
         )
-    path = Path(source)
-    if not path.exists():
-        raise GameFormatError(f"game file {source!r} not found")
-    return load_game(path)
+    return load_game(source)
 
 
 def _load_game(cfg: dict, seed: int | None):
@@ -514,6 +510,9 @@ class Learner(NamedTuple):
     steps: int | None   # the --steps default; None: the method has no step budget
 
 
+# The learners whose curve is sampled every record_every steps.
+SAMPLED_CURVES = ("minimax-q", "ce-q", "regret")
+
 LEARNERS = {
     "minimax-q": Learner(_learn_minimax_q, "stochastic", LearningSchedule.max_steps),
     "ce-q": Learner(_learn_ce_q, "stochastic", 5000),
@@ -532,7 +531,9 @@ def _run_learn(args: argparse.Namespace) -> int:
     out = _out_dir(cfg)
     learner = LEARNERS[args.method]
     stem = args.method.replace("-", "_")
-    # MERL uses neither steps nor record_every, but a malformed value still exits 2.
+    if cfg.get("record_every") is not None and args.method not in SAMPLED_CURVES:
+        raise GameFormatError(f"--record-every is used only by {', '.join(SAMPLED_CURVES)}")
+    # MERL does not use steps, but a malformed value still exits 2.
     steps = _get(cfg, "steps", int, learner.steps)
     record_every = _get(cfg, "record_every", int, max(1, (steps or 0) // 100))
     game = None if learner.game is None else _require(_load_game(cfg, seed), learner.game)
@@ -545,16 +546,7 @@ def _run_learn(args: argparse.Namespace) -> int:
 # --- validate ----------------------------------------------------------------
 
 def _run_validate(path: str) -> int:
-    target = Path(path)
-    try:
-        text = target.read_text()
-    except OSError as exc:
-        raise GameFormatError(f"cannot read game file {path!r}: {exc}")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"game file {path!r} is not valid JSON: {exc}")
-    violations = check_game_dict(doc)
+    violations = check_game_dict(read_game_doc(path))
     for line in violations:
         print(line)
     return 2 if violations else 0

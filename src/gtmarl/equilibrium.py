@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SpecError
-from .games import MatrixGame, MixedProfile, expected_payoff, mixed_profile
+from .games import MatrixGame, MixedProfile, expected_payoff, joint_count, mixed_profile, strides
 from .linprog import OPTIMAL, _solve_value_lp, linear_program, solve_lp
 
 UTILITARIAN = "utilitarian_sum"
@@ -136,11 +136,9 @@ def epsilon_nash_check(game: MatrixGame, profile: MixedProfile, eps: float) -> N
 def _incentive_rows(actions: tuple[int, ...], payoffs_flat) -> tuple[np.ndarray, list]:
     """Rows of the correlated-equilibrium constraint system over flat joint
     actions: one row per (agent, recommended action, alternative action)."""
-    count = int(np.prod(actions))
+    count = joint_count(actions)
     digits = np.stack(np.unravel_index(np.arange(count), actions))
-    strides = np.ones(len(actions), dtype=int)
-    for i in range(len(actions) - 2, -1, -1):
-        strides[i] = strides[i + 1] * actions[i + 1]
+    place = strides(actions)
     rows = []
     labels = []
     for i, k in enumerate(actions):
@@ -151,7 +149,7 @@ def _incentive_rows(actions: tuple[int, ...], payoffs_flat) -> tuple[np.ndarray,
             for alt in range(k):
                 if alt == a:
                     continue
-                swapped = idx + (alt - a) * strides[i]
+                swapped = idx + (alt - a) * place[i]
                 row = np.zeros(count)
                 row[idx] = u[idx] - u[swapped]
                 rows.append(row)
@@ -165,7 +163,7 @@ def solve_ce_distribution(actions, payoffs_flat, objective: str) -> np.ndarray:
     """Optimal correlated distribution over flat joint actions for raw payoff
     vectors. Shared by correlated_eq_solve and the correlated-Q learner."""
     actions = tuple(int(k) for k in actions)
-    count = int(np.prod(actions))
+    count = joint_count(actions)
     if count > MAX_JOINT_ACTIONS:
         raise SpecError(f"{count} joint actions exceed the cap {MAX_JOINT_ACTIONS}")
     if objective not in CE_OBJECTIVES:

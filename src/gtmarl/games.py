@@ -8,6 +8,8 @@ matching ``np.ravel_multi_index`` with C order.
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,18 +27,8 @@ def _frozen(arr, dtype=float) -> np.ndarray:
     return out
 
 
-def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise GameFormatError(f"{what} contains non-finite entries")
-
-
-@dataclass(frozen=True)
-class MatrixGame:
-    """One-shot normal-form game. payoffs[i] has shape == actions."""
-
-    actions: tuple[int, ...]
-    payoffs: tuple[np.ndarray, ...]
-    zero_sum: bool = False
+class _ActionCounts:
+    """Agent and joint-action counts of a game with per-agent ``actions``."""
 
     @property
     def num_agents(self) -> int:
@@ -44,14 +36,23 @@ class MatrixGame:
 
     @property
     def joint_actions(self) -> int:
-        return int(np.prod(self.actions))
+        return joint_count(self.actions)
+
+
+@dataclass(frozen=True)
+class MatrixGame(_ActionCounts):
+    """One-shot normal-form game. payoffs[i] has shape == actions."""
+
+    actions: tuple[int, ...]
+    payoffs: tuple[np.ndarray, ...]
+    zero_sum: bool = False
 
     def payoff_flat(self, agent: int) -> np.ndarray:
         return self.payoffs[agent].reshape(-1)
 
 
 @dataclass(frozen=True)
-class StochasticGame:
+class StochasticGame(_ActionCounts):
     """Discounted stochastic game with tabular transition and reward tensors.
 
     transition has shape (states, joint_actions, states); rewards[i] has
@@ -64,14 +65,6 @@ class StochasticGame:
     rewards: tuple[np.ndarray, ...]
     discount: float
     zero_sum: bool = False
-
-    @property
-    def num_agents(self) -> int:
-        return len(self.actions)
-
-    @property
-    def joint_actions(self) -> int:
-        return int(np.prod(self.actions))
 
 
 @dataclass(frozen=True)
@@ -100,29 +93,35 @@ class BeliefState:
     probs: np.ndarray
 
 
-def _check_distribution(vec: np.ndarray, what: str, tol: float = PROB_TOL) -> None:
+def _distribution(values, what: str) -> np.ndarray:
+    vec = np.asarray(values, dtype=float)
     if vec.ndim != 1 or vec.size == 0:
         raise GameFormatError(f"{what} must be a nonempty vector")
-    _require_finite(vec, what)
-    if vec.min() < -tol:
+    _raise_first(_nonfinite(what, vec))
+    if vec.min() < -PROB_TOL:
         raise GameFormatError(f"{what} has negative mass {vec.min():g}")
-    if abs(vec.sum() - 1.0) > max(tol, 1e-12):
+    if abs(vec.sum() - 1.0) > PROB_TOL:
         raise GameFormatError(f"{what} sums to {vec.sum():.17g}, expected 1")
+    return _frozen(vec)
 
 
 def mixed_profile(mixtures) -> MixedProfile:
-    vecs = []
-    for i, m in enumerate(mixtures):
-        v = np.asarray(m, dtype=float)
-        _check_distribution(v, f"mixture for agent {i}")
-        vecs.append(_frozen(v))
-    return MixedProfile(tuple(vecs))
+    return MixedProfile(tuple(_distribution(m, f"mixtures[{i}]") for i, m in enumerate(mixtures)))
 
 
 def belief_state(probs) -> BeliefState:
-    v = np.asarray(probs, dtype=float)
-    _check_distribution(v, "belief")
-    return BeliefState(_frozen(v))
+    return BeliefState(_distribution(probs, "belief"))
+
+
+def joint_count(actions) -> int:
+    """Exact number of joint actions: the product of the action counts."""
+    return math.prod(actions)
+
+
+def strides(actions) -> np.ndarray:
+    """Place value of each agent's action in the flat joint index, so that
+    joint_index(actions, joint) == joint @ strides(actions)."""
+    return np.array([math.prod(actions[i + 1:]) for i in range(len(actions))], dtype=int)
 
 
 def joint_index(actions: tuple[int, ...], joint: tuple[int, ...]) -> int:
@@ -137,7 +136,7 @@ def joint_index(actions: tuple[int, ...], joint: tuple[int, ...]) -> int:
 
 def joint_tuple(actions: tuple[int, ...], index: int) -> tuple[int, ...]:
     """Inverse of joint_index."""
-    if not 0 <= index < int(np.prod(actions)):
+    if not 0 <= index < joint_count(actions):
         raise SpecError(f"joint index {index} out of range")
     return tuple(int(v) for v in np.unravel_index(index, actions))
 
@@ -147,73 +146,107 @@ def _is_zero_sum(tensors) -> bool:
     return len(tensors) == 2 and bool(np.max(np.abs(tensors[0] + tensors[1])) <= ZERO_SUM_TOL)
 
 
+def _at(path: str, index) -> str:
+    return path + "".join(f"[{int(j)}]" for j in index)
+
+
+def _where(mask: np.ndarray):
+    """np.argwhere(mask), skipped when no entry is set (the common case)."""
+    return np.argwhere(mask) if mask.any() else ()
+
+
+def _nonfinite(path: str, arr: np.ndarray) -> list[str]:
+    return [
+        f"{_at(path, j)} = {float(arr[tuple(j)])!r} is not a finite number"
+        for j in _where(~np.isfinite(arr))
+    ]
+
+
+def _raise_first(violations: list[str]) -> None:
+    if violations:
+        raise GameFormatError(violations[0])
+
+
+def _game_violations(actions, payoffs=None, states=None, **fields) -> list[str]:
+    """Every invariant of a game over its arrays, each naming its field by
+    the JSON path of ``game_to_dict``.
+
+    payoffs holds one array per agent: flat over joint actions for a matrix
+    game (states None), (states, joint actions) for a stochastic game. The
+    fields are transition (states, joint actions, states), discount, obs
+    (agents, states) and observations (agents,); a field left out or None
+    is not part of the game or was already reported malformed.
+    """
+    if not actions:
+        return ["actions must be a nonempty list of per-agent action counts"]
+    out = [f"actions[{i}] = {k} is not a positive integer" for i, k in enumerate(actions) if k < 1]
+    if states is not None and states < 1:
+        out.append(f"states = {states} is not a positive integer")
+    if out:
+        return out
+    n, count = len(actions), joint_count(actions)
+    shapes = {"transition": (states, count, states), "discount": (), "obs": (n, states),
+              "observations": (n,)}
+    if payoffs is not None and len(payoffs) != n:
+        out.append(f"payoffs must list one tensor per agent ({n})")
+    elif payoffs is not None:
+        for i, tensor in enumerate(payoffs):
+            fields[f"payoffs[{i}]"] = tensor
+            shapes[f"payoffs[{i}]"] = (count,) if states is None else (states, count)
+    ok = {}
+    for path, value in fields.items():
+        if value is None:
+            continue
+        arr = np.asarray(value)
+        bad = _nonfinite(path, arr) if arr.shape == shapes[path] else [
+            f"{path} has shape {arr.shape}, expected {shapes[path]}"]
+        out += bad
+        if not bad:
+            ok[path] = arr
+    d, p, m, c = (ok.get(key) for key in ("discount", "transition", "obs", "observations"))
+    if d is not None and not 0.0 < d < 1.0:
+        out.append(f"discount {float(d)!r} outside (0, 1)")
+    if p is not None:
+        out += [f"{_at('transition', j)} = {float(p[tuple(j)])!r} is negative"
+                for j in _where(p < 0.0)]
+        sums = p.sum(axis=2)
+        out += [f"transition[{s}][{a}] sums to {sums[s, a]:.17g}, expected 1 "
+                f"(state {s}, joint action {a})"
+                for s, a in _where(np.abs(sums - 1.0) > PROB_TOL)]
+    if c is not None:
+        out += [f"observations[{i}] = {c[i]} is not a positive integer"
+                for (i,) in _where(c < 1)]
+    if m is not None:
+        out += [f"{_at('obs', j)} = {m[tuple(j)]} is not a valid index" for j in _where(m < 0)]
+    if m is not None and c is not None:
+        out += [f"{_at('obs', j)} = {m[tuple(j)]} is not below observations[{j[0]}]"
+                for j in _where(m >= c[:, None])]
+    return out
+
+
 def build_matrix_game(actions, payoff_entries) -> MatrixGame:
     """Assemble a matrix game from per-agent flat payoff vectors.
 
     payoff_entries[i] is interpreted in joint-action flat order.
     """
     actions = tuple(int(k) for k in actions)
-    if len(actions) < 1:
-        raise GameFormatError("a game needs at least one agent")
-    for i, k in enumerate(actions):
-        if k < 1:
-            raise GameFormatError(f"agent {i} has {k} actions")
-    count = int(np.prod(actions))
-    if len(payoff_entries) != len(actions):
-        raise GameFormatError(
-            f"got payoffs for {len(payoff_entries)} agents, expected {len(actions)}"
-        )
-    tensors = []
-    for i, entries in enumerate(payoff_entries):
-        flat = np.asarray(entries, dtype=float).reshape(-1)
-        if flat.size != count:
-            raise GameFormatError(
-                f"payoffs for agent {i} have {flat.size} entries, expected {count}"
-            )
-        _require_finite(flat, f"payoffs for agent {i}")
-        tensors.append(_frozen(flat.reshape(actions)))
+    flat = [np.asarray(entries, dtype=float).reshape(-1) for entries in payoff_entries]
+    _raise_first(_game_violations(actions, flat))
+    tensors = [_frozen(f.reshape(actions)) for f in flat]
     return MatrixGame(actions=actions, payoffs=tuple(tensors), zero_sum=_is_zero_sum(tensors))
 
 
 def make_stochastic_game(actions, transition, rewards, discount) -> StochasticGame:
     actions = tuple(int(k) for k in actions)
-    count = int(np.prod(actions))
     p = np.asarray(transition, dtype=float)
-    if p.ndim != 3 or p.shape[1] != count or p.shape[0] != p.shape[2]:
-        raise GameFormatError(
-            f"transition shape {p.shape} does not match (states, {count}, states)"
-        )
-    states = p.shape[0]
-    _require_finite(p, "transition")
-    if p.min() < 0.0:
-        raise GameFormatError("transition has negative probabilities")
-    sums = p.sum(axis=2)
-    bad = np.argwhere(np.abs(sums - 1.0) > PROB_TOL)
-    if bad.size:
-        s, a = (int(v) for v in bad[0])
-        raise GameFormatError(
-            f"transition row (state {s}, joint action {a}) sums to {sums[s, a]:.17g}"
-        )
-    if not 0.0 < discount < 1.0:
-        raise GameFormatError(f"discount {discount} outside (0, 1)")
-    tensors = []
-    for i, r in enumerate(rewards):
-        arr = np.asarray(r, dtype=float)
-        if arr.shape != (states, count):
-            raise GameFormatError(
-                f"rewards for agent {i} have shape {arr.shape}, expected {(states, count)}"
-            )
-        _require_finite(arr, f"rewards for agent {i}")
-        tensors.append(_frozen(arr))
-    if len(tensors) != len(actions):
-        raise GameFormatError(
-            f"got rewards for {len(tensors)} agents, expected {len(actions)}"
-        )
+    tensors = [np.asarray(r, dtype=float) for r in rewards]
+    states = p.shape[0] if p.ndim else 1
+    _raise_first(_game_violations(actions, tensors, states, transition=p, discount=float(discount)))
     return StochasticGame(
         num_states=states,
         actions=actions,
         transition=_frozen(p),
-        rewards=tuple(tensors),
+        rewards=tuple(_frozen(r) for r in tensors),
         discount=float(discount),
         zero_sum=_is_zero_sum(tensors),
     )
@@ -221,19 +254,14 @@ def make_stochastic_game(actions, transition, rewards, discount) -> StochasticGa
 
 def make_posg(base: StochasticGame, obs_map, observations=None) -> PosgGame:
     m = np.asarray(obs_map, dtype=int)
-    if m.shape != (base.num_agents, base.num_states):
-        raise GameFormatError(
-            f"obs map shape {m.shape}, expected {(base.num_agents, base.num_states)}"
-        )
-    if m.min() < 0:
-        raise GameFormatError("observation indices must be nonnegative")
+    if observations is not None:
+        observations = [int(v) for v in observations]
+    _raise_first(
+        _game_violations(base.actions, None, base.num_states, obs=m, observations=observations)
+    )
     if observations is None:
-        observations = tuple(int(m[i].max()) + 1 for i in range(base.num_agents))
-    observations = tuple(int(v) for v in observations)
-    for i, count in enumerate(observations):
-        if count < 1 or m[i].max() >= count:
-            raise GameFormatError(f"obs map for agent {i} exceeds its observation count")
-    return PosgGame(base=base, observations=observations, obs_map=_frozen(m, int))
+        observations = m.max(axis=1) + 1
+    return PosgGame(base, tuple(int(v) for v in observations), _frozen(m, int))
 
 
 # --- canonical 2x2 / 3x3 games -------------------------------------------
@@ -322,15 +350,14 @@ def random_game(
     actions = tuple(int(k) for k in actions)
     if zero_sum and len(actions) != 2:
         raise GameFormatError("zero_sum games need exactly two agents")
+    _raise_first(_game_violations(actions, states=num_states))
     rng = np.random.default_rng(seed)
-    count = int(np.prod(actions))
+    count = joint_count(actions)
     if num_states is None:
         payoffs = [rng.uniform(-1.0, 1.0, size=count) for _ in range(len(actions))]
         if zero_sum:
             payoffs[1] = -payoffs[0]
         return build_matrix_game(actions, payoffs)
-    if num_states < 1:
-        raise GameFormatError(f"num_states {num_states} must be positive")
     raw = rng.uniform(0.0, 1.0, size=(num_states, count, num_states))
     transition = raw / raw.sum(axis=2, keepdims=True)
     rewards = [
@@ -374,125 +401,79 @@ def save_game(game, path) -> None:
     Path(path).write_text(json.dumps(game_to_dict(game), indent=2) + "\n")
 
 
+def _is_int(v) -> bool:
+    """An int in RFC 8259's interoperable range, which every JSON parser reads alike."""
+    return isinstance(v, int) and not isinstance(v, bool) and abs(v) < 2**53
+
+
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A float or an _is_int; being finite is a game invariant, checked with the rest."""
+    return isinstance(v, float) or _is_int(v)
+
+
+def _walk(value, shape: tuple, path: str, leaf) -> str | None:
+    """The first place where value is not lists nested to the lengths in
+    shape with leaves accepted by leaf (_is_number or _is_int), or None."""
+    if not shape:
+        what = "an integer" if leaf is _is_int else "a float, or an integer"
+        return None if leaf(value) else (
+            f"{path} = {reprlib.repr(value)} is not {what} below 2**53 in magnitude")
+    if not isinstance(value, list):
+        return f"{path} = {reprlib.repr(value)} is not a list"
+    if len(value) != shape[0]:
+        return f"{path} has {len(value)} entries, expected {shape[0]}"
+    for j, item in enumerate(value):
+        problem = _walk(item, shape[1:], f"{path}[{j}]", leaf)
+        if problem:
+            return problem
+    return None
 
 
 def check_game_dict(doc) -> list[str]:
-    """Run every structural invariant over a parsed game document.
+    """Every violation in a parsed game document, empty iff game_from_dict
+    accepts it.
 
-    Returns a list of human-readable violations, empty iff the document is a
-    valid game. Checks stop early only when later ones would be meaningless.
+    Only the JSON structure is checked here: the type, the integer counts,
+    and each field's nesting, lengths and leaf types. The game's invariants
+    are checked over the arrays the document holds by the core the
+    constructors share. Each message names its field by JSON path.
     """
-    out: list[str] = []
     if not isinstance(doc, dict):
         return ["document is not a JSON object"]
     kind = doc.get("type")
     if kind not in ("matrix", "stochastic", "posg"):
         return [f"type {kind!r} is not one of matrix/stochastic/posg"]
     actions = doc.get("actions")
-    if not isinstance(actions, list) or not actions:
-        return ["actions must be a nonempty list of per-agent action counts"]
-    for i, k in enumerate(actions):
-        if not isinstance(k, int) or k < 1:
-            return [f"actions[{i}] = {k!r} is not a positive integer"]
-    n = len(actions)
-    if "agents" in doc and doc["agents"] != n:
-        out.append(f"agents = {doc['agents']} but actions lists {n} agents")
-    count = int(np.prod(actions))
-    payoffs = doc.get("payoffs")
-    if not isinstance(payoffs, list) or len(payoffs) != n:
-        out.append(f"payoffs must list one tensor per agent ({n})")
-        return out
-
-    def check_flat(vec, label):
-        if not isinstance(vec, list) or len(vec) != count:
-            out.append(f"{label} has {len(vec) if isinstance(vec, list) else '??'} "
-                       f"entries, expected {count}")
-            return False
-        for j, v in enumerate(vec):
-            if not _is_number(v) or not np.isfinite(v):
-                out.append(f"{label}[{j}] = {v!r} is not a finite number")
-                return False
-        return True
-
+    if not isinstance(actions, list) or not all(_is_int(k) for k in actions):
+        return [f"actions = {reprlib.repr(actions)} is not a list of integers"]
+    n, count, states = len(actions), joint_count(actions), doc.get("states")
+    out = []
+    if "agents" in doc and not (_is_int(doc["agents"]) and doc["agents"] == n):
+        out.append(f"agents = {reprlib.repr(doc['agents'])} but actions lists {n} agents")
     if kind == "matrix":
-        for i in range(n):
-            check_flat(payoffs[i], f"payoffs[{i}]")
-        return out
-
-    states = doc.get("states")
-    if not isinstance(states, int) or states < 1:
-        out.append(f"states = {states!r} is not a positive integer")
-        return out
-    discount = doc.get("discount")
-    if not _is_number(discount) or not 0.0 < discount < 1.0:
-        out.append(f"discount {discount!r} outside (0, 1)")
-    for i in range(n):
-        tensor = payoffs[i]
-        if not isinstance(tensor, list) or len(tensor) != states:
-            out.append(f"payoffs[{i}] must list {states} per-state rows")
-            continue
-        for s in range(states):
-            check_flat(tensor[s], f"payoffs[{i}][{s}]")
-    transition = doc.get("transition")
-    if not isinstance(transition, list) or len(transition) != states:
-        out.append(f"transition must list {states} per-state blocks")
-        return out
-    for s in range(states):
-        block = transition[s]
-        if not isinstance(block, list) or len(block) != count:
-            out.append(f"transition[{s}] must list {count} joint-action rows")
-            continue
-        for a in range(count):
-            row = block[a]
-            if not isinstance(row, list) or len(row) != states:
-                out.append(f"transition[{s}][{a}] must list {states} probabilities")
-                continue
-            bad = False
-            for j, v in enumerate(row):
-                if not _is_number(v) or not np.isfinite(v) or v < 0:
-                    out.append(
-                        f"transition[{s}][{a}][{j}] = {v!r} is not a probability"
-                    )
-                    bad = True
-                    break
-            if not bad and abs(sum(row) - 1.0) > PROB_TOL:
-                out.append(
-                    f"transition[{s}][{a}] sums to {sum(row):.17g}, expected 1"
-                )
+        states, spec = None, {"payoffs": (n, count)}
+    elif not _is_int(states):
+        return out + [f"states = {reprlib.repr(states)} is not a positive integer"]
+    else:
+        spec = {"payoffs": (n, states, count), "transition": (states, count, states),
+                "discount": ()}
     if kind == "posg":
-        obs = doc.get("obs")
-        if not isinstance(obs, list) or len(obs) != n:
-            out.append(f"obs must list one observation map per agent ({n})")
-            return out
-        for i in range(n):
-            row = obs[i]
-            if not isinstance(row, list) or len(row) != states:
-                out.append(f"obs[{i}] must list {states} observation indices")
-                continue
-            for s, v in enumerate(row):
-                if not isinstance(v, int) or v < 0:
-                    out.append(f"obs[{i}][{s}] = {v!r} is not a valid index")
-        counts = doc.get("observations")
-        if counts is not None:
-            if not isinstance(counts, list) or len(counts) != n:
-                out.append(f"observations must list {n} counts")
-            else:
-                for i, c in enumerate(counts):
-                    if not isinstance(c, int) or c < 1:
-                        out.append(f"observations[{i}] = {c!r} invalid")
-                    elif isinstance(obs[i], list) and obs[i] and max(obs[i]) >= c:
-                        out.append(
-                            f"obs[{i}] uses index {max(obs[i])} >= observations[{i}]"
-                        )
-    return out
+        spec["obs"] = (n, states)
+        if doc.get("observations") is not None:
+            spec["observations"] = (n,)
+    arrays = {}
+    for key, shape in spec.items():
+        leaf = _is_int if key in ("obs", "observations") else _is_number
+        problem = _walk(doc.get(key), shape, key, leaf)
+        if problem:
+            out.append(problem)
+        else:
+            arrays[key] = np.array(doc[key], dtype=int if leaf is _is_int else float)
+    return _game_violations(tuple(actions), arrays.pop("payoffs", None), states, **arrays) + out
 
 
 def game_from_dict(doc):
-    violations = check_game_dict(doc)
-    if violations:
-        raise GameFormatError(violations[0])
+    _raise_first(check_game_dict(doc))
     actions = tuple(doc["actions"])
     if doc["type"] == "matrix":
         return build_matrix_game(actions, doc["payoffs"])
@@ -504,10 +485,13 @@ def game_from_dict(doc):
     return make_posg(base, doc["obs"], doc.get("observations"))
 
 
-def load_game(path):
-    text = Path(path).read_text()
+def read_game_doc(path):
+    """The JSON document in a game file."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"invalid JSON in {path}: {exc}") from exc
-    return game_from_dict(doc)
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
+        raise GameFormatError(f"cannot read game file {str(path)!r}: {exc}") from exc
+
+
+def load_game(path):
+    return game_from_dict(read_game_doc(path))

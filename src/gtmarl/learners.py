@@ -22,7 +22,7 @@ from .equilibrium import (
     stage_minimax,
 )
 from .errors import NumericalError, SpecError
-from .games import MatrixGame, StochasticGame
+from .games import MatrixGame, StochasticGame, strides
 
 VISIT_DECAY_POWER = 0.85
 CONSTANT = "constant"
@@ -101,7 +101,7 @@ def save_qtables(path, q: QTables) -> None:
 
 
 def _sample(rng: np.random.Generator, cumulative: np.ndarray) -> int:
-    idx = int(np.searchsorted(cumulative, rng.random(), side="right"))
+    idx = int(cumulative.searchsorted(rng.random(), side="right"))
     return min(idx, cumulative.size - 1)
 
 
@@ -374,28 +374,27 @@ class RegretMatchingResult:
     state: RegretState
 
 
-def _external_strategy(regret: np.ndarray) -> np.ndarray:
-    positive = np.where(regret > 0.0, regret, 0.0)
+def _external_strategy(positive: np.ndarray) -> np.ndarray:
     total = positive.sum()
     if total <= 0.0:
-        return np.full(regret.size, 1.0 / regret.size)
+        return np.full(positive.size, 1.0 / positive.size)
     return positive / total
 
 
-def _internal_strategy(regret: np.ndarray) -> np.ndarray:
+def _internal_strategy(positive: np.ndarray) -> np.ndarray:
     """Stationary distribution of the row-switch chain built from positive
-    pairwise regrets, via a fixed number of power-iteration steps."""
-    k = regret.shape[0]
-    positive = np.where(regret > 0.0, regret, 0.0)
-    np.fill_diagonal(positive, 0.0)
+    off-diagonal pairwise regrets, via a fixed number of power-iteration
+    steps (ndarray.dot into a spare buffer: `@` at a third of the call cost)."""
+    k = positive.shape[0]
     scale = max(1.0, 2.0 * positive.sum(axis=1).max())
     chain = positive / scale
-    np.fill_diagonal(chain, 1.0 - chain.sum(axis=1))
-    dist = np.full(k, 1.0 / k)
+    chain.flat[::k + 1] = 1.0 - chain.sum(axis=1)
+    dist, spare = np.full(k, 1.0 / k), np.empty(k)
     for _ in range(STATIONARY_POWER_STEPS):
-        dist = dist @ chain
+        dist.dot(chain, out=spare)
+        dist, spare = spare, dist
     total = dist.sum()
-    if not np.all(np.isfinite(dist)) or total <= 0.0 or dist.min() < 0.0:
+    if not np.isfinite(dist).all() or total <= 0.0 or dist.min() < 0.0:
         return np.full(k, 1.0 / k)
     return dist / total
 
@@ -416,40 +415,36 @@ def regret_matching_play(
     if steps < 1:
         raise SpecError("steps must be at least 1")
     n = game.num_agents
-    counts = tuple(np.zeros(k, dtype=np.int64) for k in game.actions)
-    joint_counts = np.zeros(game.joint_actions, dtype=np.int64)
-    if mode == EXTERNAL:
-        regrets = [np.zeros(k) for k in game.actions]
-    else:
-        regrets = [np.zeros((k, k)) for k in game.actions]
+    regrets = [np.zeros(k if mode == EXTERNAL else (k, k)) for k in game.actions]
+    strategy_of = _external_strategy if mode == EXTERNAL else _internal_strategy
     # own-action-major payoff views: payoff_own[i][a, rest] with the other
     # agents' actions flattened in their original order
     payoff_own = []
-    other_strides = []
     for i in range(n):
         moved = np.moveaxis(game.payoffs[i], i, 0)
         payoff_own.append(np.ascontiguousarray(moved.reshape(game.actions[i], -1)))
-        shape = tuple(game.actions[o] for o in range(n) if o != i)
-        strides = np.ones(len(shape), dtype=int)
-        for d in range(len(shape) - 2, -1, -1):
-            strides[d] = strides[d + 1] * shape[d + 1]
-        other_strides.append(strides)
+    other_agents = [np.delete(np.arange(n), i) for i in range(n)]
+    other_strides = [strides(game.actions[:i] + game.actions[i + 1:]) for i in range(n)]
     rng = np.random.default_rng(seed)
     if record_every is None:
         record_every = max(1, steps // 200)
     actions_log = np.zeros((steps, n), dtype=np.int64)
     curve = []
+    last_positive, cumulative = [b""] * n, [None] * n
     for t in range(steps):
-        played = np.empty(n, dtype=np.int64)
+        played = actions_log[t]
         for i in range(n):
-            if mode == EXTERNAL:
-                strategy = _external_strategy(regrets[i])
-            else:
-                strategy = _internal_strategy(regrets[i])
-            played[i] = _sample(rng, np.cumsum(strategy))
-        actions_log[t] = played
+            # play depends only on the positive regrets (off the diagonal in
+            # internal mode), which often survive a step unchanged
+            positive = np.where(regrets[i] > 0.0, regrets[i], 0.0)
+            if mode == INTERNAL:
+                positive.flat[::game.actions[i] + 1] = 0.0
+            key = positive.tobytes()
+            if key != last_positive[i]:
+                last_positive[i], cumulative[i] = key, strategy_of(positive).cumsum()
+            played[i] = _sample(rng, cumulative[i])
         for i in range(n):
-            others = np.delete(played, i)
+            others = played[other_agents[i]]
             rest_index = int(others @ other_strides[i]) if others.size else 0
             values = payoff_own[i][:, rest_index]
             gains = values - values[played[i]]
@@ -457,18 +452,18 @@ def regret_matching_play(
                 regrets[i] += gains
             else:
                 regrets[i][played[i]] += gains
-            counts[i][played[i]] += 1
-        joint_counts[int(np.ravel_multi_index(played, game.actions))] += 1
         if (t + 1) % record_every == 0:
             worst = 0.0
             for i in range(n):
                 worst = max(worst, float(regrets[i].max()) / (t + 1))
             curve.append((t + 1, max(0.0, worst)))
+    joint = np.ravel_multi_index(actions_log.T, game.actions)
+    joint_counts = np.bincount(joint, minlength=game.joint_actions)
     state = RegretState(
         mode=mode,
         regrets=tuple(r.copy() for r in regrets),
-        play_counts=tuple(c.copy() for c in counts),
-        joint_counts=joint_counts.copy(),
+        play_counts=tuple(np.bincount(a, minlength=k) for a, k in zip(actions_log.T, game.actions)),
+        joint_counts=joint_counts,
     )
     return RegretMatchingResult(
         mode=mode,

@@ -180,6 +180,15 @@ class TestExitCodes:
                   "--seed", 0, "--out", tmp_path])
         assert rc == 3
 
+    @pytest.mark.parametrize("method", ["fp", "replicator", "lola", "merl"])
+    def test_record_every_on_a_learner_that_ignores_it(self, method, tmp_path, capsys):
+        rc = run(["learn", method, "--game", "classic:prisoners_dilemma",
+                  "--record-every", 5, "--seed", 0, "--out", tmp_path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--record-every" in err and "minimax-q, ce-q, regret" in err
+        assert not list(tmp_path.iterdir())
+
     def test_wrong_x0_length(self, tmp_path):
         rc = run(["learn", "replicator", "--game", "classic:rps",
                   "--x0", "0.5,0.5", "--seed", 0, "--steps", 10, "--out", tmp_path])

@@ -1,10 +1,14 @@
 """Game containers, joint-action indexing, belief filtering, JSON round-trip."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gtmarl.cli import main
 from gtmarl.errors import GameFormatError, InconsistentObservationError, SpecError
 from gtmarl.games import (
     belief_state,
@@ -15,6 +19,7 @@ from gtmarl.games import (
     expected_payoff,
     game_from_dict,
     game_to_dict,
+    joint_count,
     joint_index,
     joint_tuple,
     load_game,
@@ -23,6 +28,7 @@ from gtmarl.games import (
     mixed_profile,
     random_game,
     save_game,
+    strides,
 )
 
 
@@ -67,6 +73,14 @@ class TestJointIndexing:
         # comes after every (0, *) profile
         assert joint_index((2, 3), (1, 0)) == 3
         assert joint_tuple((2, 3), 5) == (1, 2)
+
+    def test_strides_give_the_joint_index(self):
+        actions = (3, 2, 4)
+        for flat in range(joint_count(actions)):
+            assert np.array(joint_tuple(actions, flat)) @ strides(actions) == flat
+
+    def test_joint_count_is_exact(self):
+        assert joint_count((4294967296, 4294967296)) == 2**64
 
     def test_matches_ravel_multi_index(self):
         actions = (3, 2, 4)
@@ -278,3 +292,130 @@ class TestJsonRoundTrip:
         path.write_text("{not json")
         with pytest.raises(GameFormatError):
             load_game(path)
+
+
+def _posg_doc():
+    base = random_game(8, (2, 1), num_states=3, discount=0.9)
+    return game_to_dict(make_posg(base, [[0, 1, 2], [0, 0, 1]]))
+
+
+VALID_DOCS = (
+    game_to_dict(random_game(1, (2, 3))),
+    game_to_dict(random_game(2, (2, 2), num_states=2, discount=0.9)),
+    _posg_doc(),
+)
+
+
+def _with(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# A transition row whose Python sum is within PROB_TOL of 1 but whose numpy
+# (pairwise) sum is not: rng = np.random.default_rng(0), draw
+# rng.dirichlet(np.ones(9)) * (1 + 1e-12 * rng.uniform(0.9, 1.1)) until the
+# two disagree (the 5484th draw).
+SPLIT_SUM_ROW = [
+    0.03502540620640776, 0.009631212231574366, 0.1568539641539938,
+    0.19014569489713382, 0.22784119632315167, 0.15264407466603183,
+    0.18745546990162615, 0.029872314207263346, 0.01053066741381724,
+]
+_transition = np.eye(9)[:, None, :].tolist()
+_transition[0][0] = SPLIT_SUM_ROW
+
+REPRODUCERS = {
+    # 2**64 joint actions: the product wraps to 0 in int64 arithmetic
+    "joint-count-overflow": {
+        "type": "matrix", "actions": [4294967296, 4294967296], "payoffs": [[], []],
+    },
+    "int-beyond-int64": _with(VALID_DOCS[0], ["payoffs", 0, 1], 18446744073709551616),
+    "int-beyond-double": _with(VALID_DOCS[0], ["payoffs", 0, 1], 10**400),
+    "obs-entry-not-an-index": _with(VALID_DOCS[2], ["obs", 0, 1], [1]),
+    "row-sum-by-python-sum": {
+        "type": "stochastic", "actions": [1], "states": 9, "discount": 0.9,
+        "payoffs": [np.zeros((9, 1)).tolist()], "transition": _transition,
+    },
+}
+
+BAD_VALUES = (None, True, False, "1", float("nan"), float("inf"), -float("inf"),
+              2**64, 10**400, 0, -1, 1.5, [], [1], {})
+
+
+@st.composite
+def mutated_docs(draw):
+    """A valid document with one field or entry replaced, deleted, or
+    lengthened or shortened by one entry."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCS)))
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+        parent, key = node, draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                                  else range(len(node))))
+        node = parent[key]
+    action = draw(st.sampled_from(("replace", "delete", "resize")))
+    if action == "delete":
+        del parent[key]
+    elif action == "resize" and isinstance(node, list) and node:
+        parent[key] = node[:-1] if draw(st.booleans()) else node + node[-1:]
+    else:
+        parent[key] = draw(st.sampled_from(BAD_VALUES))
+    return doc
+
+
+class TestOneValidator:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mutated_docs())
+    @example(REPRODUCERS["joint-count-overflow"])
+    @example(REPRODUCERS["int-beyond-int64"])
+    @example(REPRODUCERS["obs-entry-not-an-index"])
+    @example(REPRODUCERS["row-sum-by-python-sum"])
+    def test_check_game_dict_agrees_with_the_constructors(self, doc):
+        violations = check_game_dict(doc)
+        try:
+            game_from_dict(doc)
+        except GameFormatError as exc:
+            assert violations and str(exc) == violations[0]
+        else:
+            assert violations == []
+
+    def test_valid_documents_pass(self):
+        for doc in VALID_DOCS:
+            assert check_game_dict(doc) == []
+
+    def test_joint_count_overflow_is_reported(self):
+        violations = check_game_dict(REPRODUCERS["joint-count-overflow"])
+        assert violations == ["payoffs[0] has 0 entries, expected 18446744073709551616"]
+
+    @pytest.mark.parametrize("name", sorted(REPRODUCERS))
+    def test_validate_exits_2(self, name, tmp_path, capsys):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(REPRODUCERS[name]))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize(
+        "content", [None, b"\xff{", b"[" + b"9" * 5000 + b"]", b"[" * 100000 + b"]" * 100000],
+        ids=["directory", "not-utf8", "overlong-integer", "deep-nesting"])
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_unreadable_game_file_exits_2(self, command, content, tmp_path, capsys):
+        path = tmp_path / "game.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        argv = ["validate", str(path)] if command == "validate" else [
+            "solve", "ce", "--game", str(path), "--seed", "0", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read game file")
+
+    def test_solve_rejects_joint_count_overflow(self, tmp_path, capsys):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(REPRODUCERS["joint-count-overflow"]))
+        rc = main(["solve", "ce", "--game", str(path), "--seed", "0", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: payoffs[0]") and "Traceback" not in err
