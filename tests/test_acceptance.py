@@ -681,6 +681,27 @@ CLI_DETERMINISM_COMMANDS = [
 ]
 
 
+# Paths that the acceptance-12 commands miss, pinned by digest only: the
+# plutocratic and egalitarian CE LPs, three-agent CE games, and minimax-Q
+# with episode resets and no oracle column.
+CLI_GUARD_COMMANDS = [
+    ["solve", "ce", "--game", "random:matrix:2x2x2", "--objective", "egalitarian",
+     "--seed", "5"],
+    ["solve", "ce", "--game", "classic:chicken", "--objective", "plutocratic",
+     "--seed", "0"],
+    ["solve", "ce", "--game", "random:matrix:3x3", "--objective", "egalitarian",
+     "--seed", "11"],
+    ["learn", "ce-q", "--game", "random:stoch:2:2x2:0.9", "--objective", "plutocratic",
+     "--steps", "300", "--seed", "2"],
+    ["learn", "ce-q", "--game", "random:stoch:2:2x2:0.9", "--objective", "egalitarian",
+     "--steps", "300", "--seed", "2"],
+    ["learn", "ce-q", "--game", "random:stoch:2:2x2x2:0.9", "--steps", "200",
+     "--seed", "3"],
+    ["learn", "minimax-q", "--game", "random:zs-stoch:3:3x2:0.9", "--episode-length", "7",
+     "--steps", "800", "--seed", "1"],
+]
+
+
 def test_criterion_12_cli_determinism(tmp_path, capfd):
     commands = CLI_DETERMINISM_COMMANDS
     mismatches = []
@@ -712,10 +733,10 @@ PINNED_DIGESTS = Path(__file__).with_name("cli_digests.json")
 
 
 def cli_output_digests(root) -> dict:
-    """sha256 of every non-manifest output of the acceptance-12 commands,
-    keyed by the command line and then the file name."""
+    """sha256 of every non-manifest output of the acceptance-12 and guard
+    commands, keyed by the command line and then the file name."""
     digests = {}
-    for idx, argv in enumerate(CLI_DETERMINISM_COMMANDS):
+    for idx, argv in enumerate(CLI_DETERMINISM_COMMANDS + CLI_GUARD_COMMANDS):
         out = Path(root) / f"cmd{idx}"
         assert cli_main(argv + ["--out", str(out)]) == 0, argv
         digests[" ".join(argv)] = {
