@@ -44,12 +44,12 @@ from .equilibrium import (
 from .errors import GameFormatError, NumericalError, SpecError
 from .games import (
     MatrixGame,
-    StochasticGame,
     check_game_dict,
     classic_game,
     load_game,
     random_game,
     read_game_doc,
+    require_kind,
 )
 from .learners import (
     CONSTANT,
@@ -75,7 +75,6 @@ OBJECTIVE_ALIASES = {
     EGALITARIAN: EGALITARIAN,
     PLUTOCRATIC: PLUTOCRATIC,
 }
-GAME_KINDS = {"matrix": MatrixGame, "stochastic": StochasticGame}
 
 # The dataclass fields each learner reads from the config, in reading order.
 SCHEDULE_FIELDS = ("alpha0", "alpha_decay", "epsilon0", "epsilon_decay", "episode_length")
@@ -267,12 +266,6 @@ def _load_game(cfg: dict, seed: int | None):
     return _game_from_source(str(source), seed)
 
 
-def _require(game, kind: str):
-    if not isinstance(game, GAME_KINDS[kind]):
-        raise SpecError(f"this command expects a {kind} game source")
-    return game
-
-
 def _config(cls, cfg: dict, names, **fixed):
     """cls(**fixed) with the fields in names read from cfg, in that order.
     Each field takes its default and its type from the dataclass; a str
@@ -366,8 +359,8 @@ def _run_solve(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
     seed = _require_seed(cfg)
     eps = _get(cfg, "eps", float, 1e-9)
+    game = require_kind(_load_game(cfg, seed), "matrix")
     out = _out_dir(cfg)
-    game = _require(_load_game(cfg, seed), "matrix")
     stem = args.method.replace("-", "_")
     solution, verification = SOLVERS[args.method](game, cfg, eps)
 
@@ -506,7 +499,7 @@ def _learn_merl(run: _Run) -> dict:
 
 class Learner(NamedTuple):
     run: Callable[[_Run], dict]
-    game: str | None    # the GAME_KINDS entry the method needs; None: no game
+    game: str | None    # the games.GAME_KINDS kind the method needs; None: no game
     steps: int | None   # the --steps default; None: the method has no step budget
 
 
@@ -528,7 +521,6 @@ def _run_learn(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     cfg = _merged_config(args)
     seed = _require_seed(cfg)
-    out = _out_dir(cfg)
     learner = LEARNERS[args.method]
     stem = args.method.replace("-", "_")
     if cfg.get("record_every") is not None and args.method not in SAMPLED_CURVES:
@@ -536,7 +528,8 @@ def _run_learn(args: argparse.Namespace) -> int:
     # MERL does not use steps, but a malformed value still exits 2.
     steps = _get(cfg, "steps", int, learner.steps)
     record_every = _get(cfg, "record_every", int, max(1, (steps or 0) // 100))
-    game = None if learner.game is None else _require(_load_game(cfg, seed), learner.game)
+    game = None if learner.game is None else require_kind(_load_game(cfg, seed), learner.game)
+    out = _out_dir(cfg)
     curve_path = out / f"{stem}_curve.csv"
     result_path = out / f"{stem}_result.json"
     write_json(result_path, learner.run(_Run(cfg, seed, game, steps, record_every, curve_path)))

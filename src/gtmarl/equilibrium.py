@@ -4,17 +4,16 @@ minimax_solve handles two-player zero-sum games through the value LP in its
 normalized form: after shifting the payoff matrix to be strictly positive,
 each player's optimal mixture is the scaled solution of a one-phase LP
 (max 1'q subject to Aq <= 1, q >= 0). stage_minimax, which the learners call
-once per stale state, solves that LP with its own kernel in linprog: the
-slack-basis tableau is built directly and pivoted with solve_lp's phase-2
-loop, so it returns solve_lp's answer bit for bit without the general path's
-bound transforms, phase 1 and loop-based feasibility check.
-correlated_eq_solve optimizes a linear welfare objective over the
-correlated-equilibrium polytope through the general solve_lp. A support
-enumeration oracle covers small general-sum two-player games.
+once per stale state, solves that LP with linprog's slack-basis kernel and
+returns solve_lp's answer bit for bit. Correlated equilibria come from one
+CE LP statement over a cached incentive index, solved by the general
+solve_lp for all three welfare objectives; ce_violations reads the same
+index. A support enumeration oracle covers small general-sum games.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -133,85 +132,71 @@ def epsilon_nash_check(game: MatrixGame, profile: MixedProfile, eps: float) -> N
     return NashCheckReport(passed=bool(gains.max() <= eps), gains=gains, eps=eps)
 
 
-def _incentive_rows(actions: tuple[int, ...], payoffs_flat) -> tuple[np.ndarray, list]:
-    """Rows of the correlated-equilibrium constraint system over flat joint
-    actions: one row per (agent, recommended action, alternative action)."""
+@functools.lru_cache(maxsize=32)
+def _incentive_index(actions: tuple[int, ...]):
+    """The CE incentive rows' labels (agent i, recommended a, alternative
+    alt) and, per nonzero entry u_i[j] - u_i[swapped], its row, agent, j and
+    swapped: j runs over the joint actions whose i-th digit is a, and
+    swapped puts alt in that digit."""
     count = joint_count(actions)
+    labels = tuple((i, a, alt) for i, k in enumerate(actions)
+                   for a, alt in itertools.permutations(range(k), 2))
+    agent, rec, alt = np.array(labels, dtype=np.int64).reshape(-1, 3).T
     digits = np.stack(np.unravel_index(np.arange(count), actions))
-    place = strides(actions)
-    rows = []
-    labels = []
-    for i, k in enumerate(actions):
-        u = np.asarray(payoffs_flat[i], dtype=float)
-        for a in range(k):
-            mask = digits[i] == a
-            idx = np.flatnonzero(mask)
-            for alt in range(k):
-                if alt == a:
-                    continue
-                swapped = idx + (alt - a) * place[i]
-                row = np.zeros(count)
-                row[idx] = u[idx] - u[swapped]
-                rows.append(row)
-                labels.append((i, a, alt))
-    if rows:
-        return np.stack(rows), labels
-    return np.zeros((0, count)), labels
+    rows, cols = np.nonzero(digits[agent] == rec[:, None])
+    agents = agent[rows]
+    swapped = cols + (alt - rec)[rows] * strides(actions)[agents]
+    index = (rows, agents, cols, swapped)
+    for arr in index:
+        arr.setflags(write=False)
+    return labels, index
+
+
+def _incentive_rows(actions, payoffs) -> tuple[np.ndarray, tuple]:
+    """Incentive rows and labels for payoffs stacked as (agents, joint)."""
+    actions = tuple(int(k) for k in actions)
+    labels, (rows, agents, cols, swapped) = _incentive_index(actions)
+    inc = np.zeros((len(labels), joint_count(actions)))
+    inc[rows, cols] = payoffs[agents, cols] - payoffs[agents, swapped]
+    return inc, labels
 
 
 def solve_ce_distribution(actions, payoffs_flat, objective: str) -> np.ndarray:
     """Optimal correlated distribution over flat joint actions for raw payoff
-    vectors. Shared by correlated_eq_solve and the correlated-Q learner."""
+    vectors. Shared by correlated_eq_solve and the correlated-Q learner.
+
+    One LP over the distribution: incentive rows >= 0 and total mass 1.
+    Utilitarian maximizes the summed payoffs, plutocratic each agent's in
+    turn (the first best wins), and egalitarian a free floor z <= u_i'lambda."""
     actions = tuple(int(k) for k in actions)
     count = joint_count(actions)
     if count > MAX_JOINT_ACTIONS:
         raise SpecError(f"{count} joint actions exceed the cap {MAX_JOINT_ACTIONS}")
     if objective not in CE_OBJECTIVES:
         raise SpecError(f"unknown objective {objective!r}")
-    inc, _ = _incentive_rows(actions, payoffs_flat)
-    n_inc = inc.shape[0]
-
-    def solve_with(weights: np.ndarray) -> tuple[np.ndarray, float]:
-        a = np.vstack([inc, np.ones((1, count))])
-        senses = (">=",) * n_inc + ("==",)
-        rhs = np.zeros(n_inc + 1)
-        rhs[-1] = 1.0
-        lp = linear_program(weights, a, senses, rhs)
-        sol = solve_lp(lp)
-        if sol.status != OPTIMAL:
-            raise NumericalError(f"CE LP ended with status {sol.status}")
-        return sol.x, sol.objective_value
-
-    if objective == UTILITARIAN:
-        weights = np.sum([np.asarray(u, dtype=float) for u in payoffs_flat], axis=0)
-        lam, _ = solve_with(weights)
-    elif objective == PLUTOCRATIC:
-        best_lam, best_val = None, -np.inf
-        for u in payoffs_flat:
-            lam, val = solve_with(np.asarray(u, dtype=float))
-            if val > best_val:
-                best_lam, best_val = lam, val
-        lam = best_lam
-    else:  # egalitarian: maximize a free floor z below every agent's payoff
-        n_agents = len(payoffs_flat)
-        a = np.zeros((n_inc + 1 + n_agents, count + 1))
-        a[:n_inc, :count] = inc
-        a[n_inc, :count] = 1.0
-        for i, u in enumerate(payoffs_flat):
-            a[n_inc + 1 + i, :count] = -np.asarray(u, dtype=float)
-            a[n_inc + 1 + i, count] = 1.0
-        senses = (">=",) * n_inc + ("==",) + ("<=",) * n_agents
-        rhs = np.zeros(n_inc + 1 + n_agents)
-        rhs[n_inc] = 1.0
-        c = np.zeros(count + 1)
-        c[count] = 1.0
-        lower = np.zeros(count + 1)
-        lower[count] = -np.inf
+    u = np.asarray(payoffs_flat, dtype=float)
+    inc, _ = _incentive_rows(actions, u)
+    a = np.vstack([inc, np.ones((1, count))])
+    senses = (">=",) * inc.shape[0] + ("==",)
+    rhs = np.append(np.zeros(inc.shape[0]), 1.0)
+    lower = np.zeros(count)
+    if objective == EGALITARIAN:
+        a = np.block([[a, np.zeros((a.shape[0], 1))], [-u, np.ones((u.shape[0], 1))]])
+        senses += ("<=",) * u.shape[0]
+        rhs = np.append(rhs, np.zeros(u.shape[0]))
+        lower = np.append(lower, -np.inf)
+        weights = [np.append(np.zeros(count), 1.0)]
+    elif objective == UTILITARIAN:
+        weights = [np.sum(u, axis=0)]
+    else:
+        weights = list(u)
+    solutions = []
+    for c in weights:
         sol = solve_lp(linear_program(c, a, senses, rhs, lower=lower))
         if sol.status != OPTIMAL:
             raise NumericalError(f"CE LP ended with status {sol.status}")
-        lam = sol.x[:count]
-
+        solutions.append(sol)
+    lam = max(solutions, key=lambda solution: solution.objective_value).x[:count]
     lam = np.where(lam > 0.0, lam, 0.0)
     total = lam.sum()
     if not np.isfinite(total) or total <= 0.0:
@@ -228,16 +213,11 @@ def correlated_eq_solve(game: MatrixGame, objective: str = UTILITARIAN) -> Corre
 
 def ce_violations(actions, payoffs_flat, lam) -> tuple[float, list]:
     """Worst incentive violation and the per-constraint breakdown."""
-    inc, labels = _incentive_rows(tuple(actions), payoffs_flat)
-    lam = np.asarray(lam, dtype=float)
-    values = inc @ lam if inc.shape[0] else np.zeros(0)
-    worst = 0.0
-    detail = []
-    for (agent, a, alt), val in zip(labels, values):
-        gap = max(0.0, -float(val))
-        worst = max(worst, gap)
-        detail.append((agent, a, alt, gap))
-    return worst, detail
+    inc, labels = _incentive_rows(actions, np.asarray(payoffs_flat, dtype=float))
+    neg = -(inc @ np.asarray(lam, dtype=float))
+    gaps = np.where(neg > 0.0, neg, 0.0)
+    worst = float(gaps.max()) if gaps.size else 0.0
+    return worst, [(*label, gap) for label, gap in zip(labels, gaps.tolist())]
 
 
 def ce_check(game: MatrixGame, policy, eps: float) -> CeCheckReport:

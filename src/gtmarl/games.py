@@ -79,6 +79,16 @@ class PosgGame:
     obs_map: np.ndarray
 
 
+GAME_KINDS = {"matrix": MatrixGame, "stochastic": StochasticGame}
+
+
+def require_kind(game, kind: str):
+    """The game, if it is of the named GAME_KINDS kind."""
+    if not isinstance(game, GAME_KINDS[kind]):
+        raise SpecError(f"a {kind} game is required")
+    return game
+
+
 @dataclass(frozen=True)
 class MixedProfile:
     """One independent mixed strategy per agent."""

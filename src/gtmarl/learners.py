@@ -1,10 +1,11 @@
 """Tabular multi-agent learners on matrix and stochastic games.
 
-The stochastic-game learners bootstrap through per-state stage games built
-from the current joint Q values: minimax-Q evaluates each stage game by its
-zero-sum LP value, correlated-Q by a correlated-equilibrium distribution.
-Stage solutions are cached per state (StageCache) and invalidated whenever
-that state's Q row changes.
+Minimax-Q and correlated-Q share one stage-Q loop: Q-learning that
+bootstraps through per-state stage games built from the current joint Q
+values. Each learner supplies only its stage solve: the zero-sum LP value
+and maximin mixtures for minimax-Q, a correlated-equilibrium distribution
+for correlated-Q. Stage solutions are cached per state (StageCache) and
+invalidated whenever that state's Q row changes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .equilibrium import (
     stage_minimax,
 )
 from .errors import NumericalError, SpecError
-from .games import MatrixGame, StochasticGame, strides
+from .games import MatrixGame, StochasticGame, require_kind, strides
 
 VISIT_DECAY_POWER = 0.85
 CONSTANT = "constant"
@@ -106,8 +107,7 @@ def _sample(rng: np.random.Generator, cumulative: np.ndarray) -> int:
 
 
 def _require_stochastic(game, zero_sum: bool, two_player: bool) -> None:
-    if not isinstance(game, StochasticGame):
-        raise SpecError("a stochastic game is required")
+    require_kind(game, "stochastic")
     if two_player and game.num_agents != 2:
         raise SpecError("exactly two agents are required")
     if zero_sum and not game.zero_sum:
@@ -118,8 +118,8 @@ class StageCache:
     """Stage-game solutions per state, solved again only after invalidate.
 
     solve(s) computes state s's solution from the learner's current Q
-    tables; the learners' solve functions look up stage_minimax and
-    solve_ce_distribution by module name at call time. get counts hits and
+    tables; the learners' solve functions look up stage_minimax,
+    solve_ce_distribution and ce_violations by module name at call time. get counts hits and
     misses, and names the state and step in any NumericalError of a solve.
     """
 
@@ -189,6 +189,59 @@ def shapley_value_iteration(
     raise NumericalError(f"value iteration did not reach {tol} in {max_iterations} sweeps")
 
 
+# --- the stage-game Q-learning loop -----------------------------------------
+
+def _stage_q_loop(game, schedule, record_every, q, solve, extra=lambda cache, step: ()):
+    """The Q-learning loop of minimax-Q and correlated-Q; table i of q
+    learns from reward table i. solve(s) gives state s's stage solution
+    under the current q as (each table's stage value, cumulatives, policy);
+    each cumulative draws one digit of the joint action, most significant
+    first, or epsilon-uniform exploration does. extra(cache, step) gives the
+    curve columns after the mean rewards. Returns (curve, final policy per
+    state, cache)."""
+    states = game.num_states
+    rewards = game.rewards[:len(q)]
+    p_cum = np.cumsum(game.transition, axis=2)
+    rng = np.random.default_rng(schedule.seed)
+    cache = StageCache(states, solve)
+    visits_sa = np.zeros(q[0].shape, dtype=np.int64)
+    visits_s = np.zeros(states, dtype=np.int64)
+
+    curve = []
+    reward_sum = np.zeros(len(q))
+    reward_n = 0
+    s = int(rng.integers(states))
+    for t in range(schedule.max_steps):
+        if (
+            schedule.episode_length is not None
+            and t > 0
+            and t % schedule.episode_length == 0
+        ):
+            s = int(rng.integers(states))
+        eps = _epsilon(schedule, int(visits_s[s]))
+        visits_s[s] += 1
+        j = 0
+        for cum in cache.get(s, t + 1)[1]:
+            explore = rng.random() < eps
+            j = j * cum.size + (int(rng.integers(cum.size)) if explore else _sample(rng, cum))
+        s_next = _sample(rng, p_cum[s, j])
+        values = cache.get(s_next, t + 1)[0]
+        alpha = _alpha(schedule, int(visits_sa[s, j]))
+        visits_sa[s, j] += 1
+        for i, (table, reward, value) in enumerate(zip(q, rewards, values)):
+            table[s, j] += alpha * (reward[s, j] + game.discount * value - table[s, j])
+            reward_sum[i] += reward[s, j]
+        cache.invalidate(s)
+        reward_n += 1
+        if record_every and (t + 1) % record_every == 0:
+            curve.append((t + 1, *(reward_sum / reward_n), *extra(cache, t + 1)))
+            reward_sum = np.zeros(len(q))
+            reward_n = 0
+        s = s_next
+    final = [cache.get(ss, schedule.max_steps)[2] for ss in range(states)]
+    return tuple(curve), final, cache
+
+
 # --- minimax-Q --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -211,63 +264,26 @@ def minimax_q_train(
     """Asymmetric minimax-Q: one table for agent 1, both agents play the
     stage solution of the current Q with epsilon-uniform exploration."""
     _require_stochastic(game, zero_sum=True, two_player=True)
-    k1, k2 = game.actions
-    states, joint = game.num_states, game.joint_actions
-    gamma = game.discount
-    r1 = game.rewards[0]
-    p_cum = np.cumsum(game.transition, axis=2)
-    rng = np.random.default_rng(schedule.seed)
-
-    q = np.zeros((states, joint))
-    visits_sa = np.zeros((states, joint), dtype=np.int64)
-    visits_s = np.zeros(states, dtype=np.int64)
+    q = np.zeros((game.num_states, game.joint_actions))
 
     def solve(s: int):
-        v, x, y = stage_minimax(q[s].reshape(k1, k2))
-        return v, x, y, np.cumsum(x), np.cumsum(y)
+        v, x, y = stage_minimax(q[s].reshape(game.actions))
+        return (v,), (np.cumsum(x), np.cumsum(y)), (v, x, y)
 
-    cache = StageCache(states, solve)
+    def sup_error(cache: StageCache, step: int):
+        if oracle_values is None:
+            return (np.nan,)
+        values = np.array([cache.get(ss, step)[0][0] for ss in range(game.num_states)])
+        return (float(np.max(np.abs(values - oracle_values))),)
 
-    curve = []
-    reward_sum, reward_n = 0.0, 0
-    s = int(rng.integers(states))
-    for t in range(schedule.max_steps):
-        if (
-            schedule.episode_length is not None
-            and t > 0
-            and t % schedule.episode_length == 0
-        ):
-            s = int(rng.integers(states))
-        _, _, _, cum_x, cum_y = cache.get(s, t + 1)
-        eps = _epsilon(schedule, int(visits_s[s]))
-        visits_s[s] += 1
-        a1 = int(rng.integers(k1)) if rng.random() < eps else _sample(rng, cum_x)
-        a2 = int(rng.integers(k2)) if rng.random() < eps else _sample(rng, cum_y)
-        j = a1 * k2 + a2
-        reward = r1[s, j]
-        s_next = _sample(rng, p_cum[s, j])
-        next_value = cache.get(s_next, t + 1)[0]
-        alpha = _alpha(schedule, int(visits_sa[s, j]))
-        visits_sa[s, j] += 1
-        q[s, j] += alpha * (reward + gamma * next_value - q[s, j])
-        cache.invalidate(s)
-        reward_sum += reward
-        reward_n += 1
-        if record_every and (t + 1) % record_every == 0:
-            err = np.nan
-            if oracle_values is not None:
-                values = np.array([cache.get(ss, t + 1)[0] for ss in range(states)])
-                err = float(np.max(np.abs(values - oracle_values)))
-            curve.append((t + 1, reward_sum / reward_n, err))
-            reward_sum, reward_n = 0.0, 0
-        s = s_next
-    final = [cache.get(ss, schedule.max_steps) for ss in range(states)]
+    curve, final, cache = _stage_q_loop(game, schedule, record_every, (q,), solve, sup_error)
+    values, policies, opponent_policies = (np.array(part) for part in zip(*final))
     return MinimaxQResult(
         q=QTables((q.copy(),)),
-        values=np.array([entry[0] for entry in final]),
-        policies=np.array([entry[1] for entry in final]),
-        opponent_policies=np.array([entry[2] for entry in final]),
-        curve=tuple(curve),
+        values=values,
+        policies=policies,
+        opponent_policies=opponent_policies,
+        curve=curve,
         stage_hits=cache.hits,
         stage_misses=cache.misses,
     )
@@ -294,62 +310,21 @@ def correlated_q_train(
     correlated-equilibrium distribution of the per-state stage game; each
     agent bootstraps with the stage expectation of its own Q."""
     _require_stochastic(game, zero_sum=False, two_player=False)
-    n = game.num_agents
-    states, joint = game.num_states, game.joint_actions
-    gamma = game.discount
-    rewards = game.rewards
-    p_cum = np.cumsum(game.transition, axis=2)
-    rng = np.random.default_rng(schedule.seed)
-
-    q = [np.zeros((states, joint)) for _ in range(n)]
-    visits_sa = np.zeros((states, joint), dtype=np.int64)
-    visits_s = np.zeros(states, dtype=np.int64)
+    q = tuple(np.zeros((game.num_states, game.joint_actions)) for _ in game.rewards)
 
     def solve(s: int):
-        payoffs = [q[i][s] for i in range(n)]
+        payoffs = [table[s] for table in q]
         dist = solve_ce_distribution(game.actions, payoffs, objective)
         worst, _ = ce_violations(game.actions, payoffs, dist)
         if worst > 1e-9:
             raise NumericalError(f"stage CE violates incentives by {worst:g}")
-        return dist, np.cumsum(dist)
+        return [float(dist @ u) for u in payoffs], (np.cumsum(dist),), dist
 
-    cache = StageCache(states, solve)
-
-    curve = []
-    reward_sum = np.zeros(n)
-    reward_n = 0
-    s = int(rng.integers(states))
-    for t in range(schedule.max_steps):
-        if (
-            schedule.episode_length is not None
-            and t > 0
-            and t % schedule.episode_length == 0
-        ):
-            s = int(rng.integers(states))
-        lam_cum = cache.get(s, t + 1)[1]
-        eps = _epsilon(schedule, int(visits_s[s]))
-        visits_s[s] += 1
-        j = int(rng.integers(joint)) if rng.random() < eps else _sample(rng, lam_cum)
-        s_next = _sample(rng, p_cum[s, j])
-        lam_next = cache.get(s_next, t + 1)[0]
-        alpha = _alpha(schedule, int(visits_sa[s, j]))
-        visits_sa[s, j] += 1
-        for i in range(n):
-            target = rewards[i][s, j] + gamma * float(lam_next @ q[i][s_next])
-            q[i][s, j] += alpha * (target - q[i][s, j])
-            reward_sum[i] += rewards[i][s, j]
-        cache.invalidate(s)
-        reward_n += 1
-        if record_every and (t + 1) % record_every == 0:
-            curve.append((t + 1, *(reward_sum / reward_n)))
-            reward_sum = np.zeros(n)
-            reward_n = 0
-        s = s_next
-    final = [cache.get(ss, schedule.max_steps)[0] for ss in range(states)]
+    curve, final, cache = _stage_q_loop(game, schedule, record_every, q, solve)
     return CorrelatedQResult(
         q=QTables(tuple(t.copy() for t in q)),
         stage_policies=np.array(final),
-        curve=tuple(curve),
+        curve=curve,
         stage_hits=cache.hits,
         stage_misses=cache.misses,
     )

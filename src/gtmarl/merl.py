@@ -220,21 +220,22 @@ def genome_actors(genome: np.ndarray, num_agents: int) -> list[LinearActor]:
 
 def rollout_team(env: RendezvousEnv, genome: np.ndarray, seed: int):
     """One episode; returns (fitness = total team reward, per-agent
-    transition lists of (phi, action, local reward, next phi))."""
+    transition lists of (phi, action, local reward, next phi)). A step's
+    next phi is the next step's phi: the same array, not a copy."""
     actors = genome_actors(genome, env.num_agents)
     positions = env.reset(seed)
     transitions = [[] for _ in range(env.num_agents)]
     fitness = 0.0
     done = False
+    phis = [agent_features(positions, i) for i in range(env.num_agents)]
     while not done:
-        phis = [agent_features(positions, i) for i in range(env.num_agents)]
         actions = np.array([float(actors[i].act(phis[i])) for i in range(env.num_agents)])
         positions, local, team, done = env.step(actions)
         fitness += team
+        next_phis = [agent_features(positions, i) for i in range(env.num_agents)]
         for i in range(env.num_agents):
-            transitions[i].append(
-                (phis[i], float(actions[i]), float(local[i]), agent_features(positions, i))
-            )
+            transitions[i].append((phis[i], float(actions[i]), float(local[i]), next_phis[i]))
+        phis = next_phis
     return fitness, transitions
 
 

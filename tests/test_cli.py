@@ -9,7 +9,7 @@ import pytest
 
 from gtmarl import cli, learners
 from gtmarl.cli import main
-from gtmarl.errors import NumericalError
+from gtmarl.errors import NumericalError, SpecError
 from gtmarl.games import classic_game, game_to_dict, random_game, save_game
 
 
@@ -175,10 +175,30 @@ class TestExitCodes:
                   "--seed", 0, "--out", tmp_path])
         assert rc == 3
 
-    def test_matrix_source_into_minimax_q(self, tmp_path):
+    def test_matrix_source_into_minimax_q(self, tmp_path, capsys):
         rc = run(["learn", "minimax-q", "--game", "classic:rps",
                   "--seed", 0, "--out", tmp_path])
         assert rc == 3
+        assert capsys.readouterr().err == "error: a stochastic game is required\n"
+        # the library says the same
+        for train in (learners.minimax_q_train, learners.correlated_q_train):
+            with pytest.raises(SpecError) as info:
+                train(classic_game("rps"), schedule=learners.LearningSchedule(max_steps=1))
+            assert str(info.value) == "a stochastic game is required"
+
+    def test_stochastic_source_into_solve(self, tmp_path, capsys):
+        rc = run(["solve", "ce", "--game", "random:stoch:2:2x2:0.9",
+                  "--seed", 0, "--out", tmp_path])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: a matrix game is required\n"
+
+    @pytest.mark.parametrize("command", [["solve", "ce"], ["learn", "ce-q"]])
+    def test_bad_game_file_creates_no_out_dir(self, command, tmp_path):
+        out = tmp_path / "od" / "x"
+        rc = run(command + ["--game", tmp_path / "nonexistent.json", "--seed", 0,
+                            "--out", out])
+        assert rc == 2
+        assert not (tmp_path / "od").exists()
 
     @pytest.mark.parametrize("method", ["fp", "replicator", "lola", "merl"])
     def test_record_every_on_a_learner_that_ignores_it(self, method, tmp_path, capsys):

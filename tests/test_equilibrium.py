@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -25,8 +25,15 @@ from gtmarl.equilibrium import (
     support_enumeration_nash,
 )
 from gtmarl.errors import NumericalError, SpecError
-from gtmarl.games import build_matrix_game, classic_game, mixed_profile, random_game
-from gtmarl.linprog import OPTIMAL, LinearProgram, solve_lp
+from gtmarl.games import (
+    build_matrix_game,
+    classic_game,
+    joint_count,
+    mixed_profile,
+    random_game,
+    strides,
+)
+from gtmarl.linprog import OPTIMAL, LinearProgram, linear_program, solve_lp
 
 
 # --- independent oracles ------------------------------------------------------
@@ -366,3 +373,145 @@ class TestCorrelatedEquilibria:
         policy = correlated_eq_solve(g, UTILITARIAN)
         assert policy.probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert ce_check(g, policy, 1e-9).passed
+
+
+# --- CE layer against its loop-built reference ---------------------------------
+
+def reference_incentive_rows(actions, payoffs_flat):
+    """The CE incentive rows built one (agent, action, alternative) row at a
+    time."""
+    count = joint_count(actions)
+    digits = np.stack(np.unravel_index(np.arange(count), actions))
+    place = strides(actions)
+    rows = []
+    labels = []
+    for i, k in enumerate(actions):
+        u = np.asarray(payoffs_flat[i], dtype=float)
+        for a in range(k):
+            idx = np.flatnonzero(digits[i] == a)
+            for alt in range(k):
+                if alt == a:
+                    continue
+                row = np.zeros(count)
+                row[idx] = u[idx] - u[idx + (alt - a) * place[i]]
+                rows.append(row)
+                labels.append((i, a, alt))
+    if rows:
+        return np.stack(rows), labels
+    return np.zeros((0, count)), labels
+
+
+def reference_solve_ce_distribution(actions, payoffs_flat, objective):
+    """The CE LP stated once per objective: one statement shared by the
+    utilitarian and plutocratic weights, a second with the egalitarian
+    floor."""
+    count = joint_count(actions)
+    inc, _ = reference_incentive_rows(actions, payoffs_flat)
+    n_inc = inc.shape[0]
+
+    def solve_with(weights):
+        a = np.vstack([inc, np.ones((1, count))])
+        senses = (">=",) * n_inc + ("==",)
+        rhs = np.zeros(n_inc + 1)
+        rhs[-1] = 1.0
+        sol = solve_lp(linear_program(weights, a, senses, rhs))
+        if sol.status != OPTIMAL:
+            raise NumericalError(f"CE LP ended with status {sol.status}")
+        return sol.x, sol.objective_value
+
+    if objective == UTILITARIAN:
+        lam, _ = solve_with(np.sum([np.asarray(u, dtype=float) for u in payoffs_flat], axis=0))
+    elif objective == PLUTOCRATIC:
+        best_lam, best_val = None, -np.inf
+        for u in payoffs_flat:
+            lam, val = solve_with(np.asarray(u, dtype=float))
+            if val > best_val:
+                best_lam, best_val = lam, val
+        lam = best_lam
+    else:
+        n_agents = len(payoffs_flat)
+        a = np.zeros((n_inc + 1 + n_agents, count + 1))
+        a[:n_inc, :count] = inc
+        a[n_inc, :count] = 1.0
+        for i, u in enumerate(payoffs_flat):
+            a[n_inc + 1 + i, :count] = -np.asarray(u, dtype=float)
+            a[n_inc + 1 + i, count] = 1.0
+        senses = (">=",) * n_inc + ("==",) + ("<=",) * n_agents
+        rhs = np.zeros(n_inc + 1 + n_agents)
+        rhs[n_inc] = 1.0
+        c = np.zeros(count + 1)
+        c[count] = 1.0
+        lower = np.zeros(count + 1)
+        lower[count] = -np.inf
+        sol = solve_lp(linear_program(c, a, senses, rhs, lower=lower))
+        if sol.status != OPTIMAL:
+            raise NumericalError(f"CE LP ended with status {sol.status}")
+        lam = sol.x[:count]
+    lam = np.where(lam > 0.0, lam, 0.0)
+    total = lam.sum()
+    if not np.isfinite(total) or total <= 0.0:
+        raise NumericalError("CE LP returned a degenerate distribution")
+    return lam / total
+
+
+def reference_ce_violations(actions, payoffs_flat, lam):
+    inc, labels = reference_incentive_rows(tuple(actions), payoffs_flat)
+    values = inc @ np.asarray(lam, dtype=float) if inc.shape[0] else np.zeros(0)
+    worst = 0.0
+    detail = []
+    for (agent, a, alt), val in zip(labels, values):
+        gap = max(0.0, -float(val))
+        worst = max(worst, gap)
+        detail.append((agent, a, alt, gap))
+    return worst, detail
+
+
+def ce_outcome(solver, actions, payoffs, objective):
+    """The distribution as raw bytes, or the NumericalError message."""
+    try:
+        return ("ok", solver(actions, payoffs, objective).tobytes())
+    except NumericalError as exc:
+        return ("error", str(exc))
+
+
+@st.composite
+def ce_stage_games(draw):
+    """Two-agent shapes up to 3x3 and three-agent shapes up to 2x2x2, with
+    real or small-integer payoffs (ties and degenerate vertices), an
+    objective and a nonnegative test distribution."""
+    agents = draw(st.sampled_from((2, 3)))
+    actions = tuple(draw(st.integers(1, 3 if agents == 2 else 2)) for _ in range(agents))
+    count = joint_count(actions)
+    if draw(st.booleans()):
+        elements = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+        payoffs = [draw(hnp.arrays(np.float64, count, elements=elements)) for _ in actions]
+    else:
+        payoffs = [draw(hnp.arrays(np.int64, count, elements=st.integers(-2, 2))).astype(float)
+                   for _ in actions]
+    objective = draw(st.sampled_from((UTILITARIAN, EGALITARIAN, PLUTOCRATIC)))
+    lam = draw(hnp.arrays(np.float64, count, elements=st.floats(0.0, 1.0)))
+    return actions, payoffs, objective, lam
+
+
+def known_failing_ce(seed, actions, objective):
+    """A feasible CE LP on which solve_lp fails today (see
+    test_cli.test_known_ce_lp_failures), as a ce_stage_games example."""
+    g = random_game(seed, actions)
+    payoffs = [g.payoff_flat(i) for i in range(g.num_agents)]
+    return actions, payoffs, objective, np.full(g.joint_actions, 1.0 / g.joint_actions)
+
+
+class TestCeLayer:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(ce_stage_games())
+    @example(known_failing_ce(405, (3, 3), UTILITARIAN))
+    @example(known_failing_ce(3116, (2, 2, 2), EGALITARIAN))
+    def test_bit_identical_to_loop_reference(self, game):
+        actions, payoffs, objective, lam = game
+        got = ce_outcome(solve_ce_distribution, actions, payoffs, objective)
+        assert got == ce_outcome(reference_solve_ce_distribution, actions, payoffs, objective)
+        distributions = [lam] + ([np.frombuffer(got[1])] if got[0] == "ok" else [])
+        for dist in distributions:
+            # repr tells -0.0 from 0.0 and a numpy scalar from a float
+            assert repr(ce_violations(actions, payoffs, dist)) == repr(
+                reference_ce_violations(actions, payoffs, dist))
