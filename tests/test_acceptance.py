@@ -29,9 +29,10 @@ from gtmarl.equilibrium import (
     UTILITARIAN,
     ce_check,
     correlated_eq_solve,
+    solve_ce_distribution,
     stage_minimax,
 )
-from gtmarl.errors import InconsistentObservationError
+from gtmarl.errors import InconsistentObservationError, NumericalError
 from gtmarl.games import (
     belief_state,
     belief_update,
@@ -732,6 +733,28 @@ def test_criterion_12_cli_determinism(tmp_path, capfd):
 PINNED_DIGESTS = Path(__file__).with_name("cli_digests.json")
 
 
+def this_platform() -> dict:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+    }
+
+
+def pinned_digests(key: str):
+    """The digests pinned under `key` in cli_digests.json, for a refactor
+    guard: the outputs keep the exact bytes they had when pinned.
+    Floating-point results may differ in the last bit on another Python,
+    numpy or CPU, so the digests are checked only on the platform they were
+    taken on, and the guard skips elsewhere. Re-pin (write the guard's digest
+    function under `key` and `this_platform()` under "platform") only for a
+    change that alters an output on purpose, and say so in CHANGES.md."""
+    pinned = json.loads(PINNED_DIGESTS.read_text())
+    if pinned["platform"] != this_platform():
+        pytest.skip(f"digests were pinned on {pinned['platform']}, this is {this_platform()}")
+    return pinned[key]
+
+
 def cli_output_digests(root) -> dict:
     """sha256 of every non-manifest output of the acceptance-12 and guard
     commands, keyed by the command line and then the file name."""
@@ -747,22 +770,102 @@ def cli_output_digests(root) -> dict:
     return digests
 
 
-def this_platform() -> dict:
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-    }
-
-
 def test_cli_outputs_match_pinned_digests(tmp_path):
-    """A refactor guard: the CLI outputs keep the exact bytes pinned in
-    cli_digests.json. Floating-point results may differ in the last bit on
-    another Python, numpy or CPU, so the digests are checked only on the
-    platform they were taken on. Re-pin (write `cli_output_digests` and
-    `this_platform` to the file) only for a change that alters an output
-    on purpose, and say so in CHANGES.md."""
-    pinned = json.loads(PINNED_DIGESTS.read_text())
-    if pinned["platform"] != this_platform():
-        pytest.skip(f"digests were pinned on {pinned['platform']}, this is {this_platform()}")
-    assert cli_output_digests(tmp_path) == pinned["outputs"]
+    """The CLI outputs keep the bytes pinned under "outputs"."""
+    assert cli_output_digests(tmp_path) == pinned_digests("outputs")
+
+
+def _hash_outcome(h, solve) -> None:
+    """Feed h the bytes of solve()'s result, or its NumericalError type and text."""
+    try:
+        result = solve()
+    except NumericalError as exc:
+        h.update(f"{type(exc).__name__}: {exc}".encode())
+        return
+    for part in result:
+        if isinstance(part, str):
+            h.update(part.encode())
+        elif part is None:
+            h.update(b"none")
+        else:
+            h.update(np.asarray(part, dtype=float).tobytes())
+
+
+def _random_lp(rng, integer: bool):
+    """A general LP with n <= 5 variables and m <= 6 rows of every sense:
+    rhs entries negative, zero and -0.0; lower bounds 0, finite and -inf;
+    finite upper bounds on shifted and free variables. Half are feasible by
+    construction around a point, the rest may be infeasible or unbounded."""
+    def data(size):
+        if integer:
+            return rng.integers(-2, 3, size).astype(float)
+        return rng.normal(size=size)
+
+    n, m = int(rng.integers(1, 6)), int(rng.integers(0, 7))
+    a = data((m, n))
+    senses = [("<=", "==", ">=")[k] for k in rng.integers(0, 3, m)]
+    if rng.random() < 0.5:
+        gaps = np.abs(data(m)) * (rng.random(m) < 0.5)
+        rhs = a @ data(n) + np.where(np.array(senses) == ">=", -gaps, gaps)
+    else:
+        rhs = data(m)
+    for i in range(m):
+        pick = rng.random()
+        if pick < 0.15:
+            rhs[i] = 0.0
+        elif pick < 0.25:
+            rhs[i] = -0.0
+    lower = np.choose(rng.integers(0, 3, n), [np.zeros(n), data(n), np.full(n, -np.inf)])
+    upper = np.where(
+        rng.random(n) < 0.4,
+        np.where(np.isneginf(lower), 0.0, lower) + np.abs(data(n)),
+        np.inf,
+    )
+    return linear_program(data(n), a, senses, rhs, lower, upper)
+
+
+def _solve_lp_parts(lp, cap=None):
+    sol = solve_lp(lp, max_iterations=cap)
+    return sol.status, sol.x, sol.objective_value, sol.row_duals
+
+
+def solver_digests() -> dict:
+    """sha256 over seeded batches of solve_lp on general LPs, stage_minimax
+    on 1x1..8x8 matrices and solve_ce_distribution on 2x2..4x4, 3x2 and 2x2x2
+    games in all three objectives: the status and the bytes of every result,
+    or the error type and text."""
+    rng = np.random.default_rng(20261018)
+    h = hashlib.sha256()
+    for k in range(3000):
+        lp = _random_lp(rng, integer=bool(k % 2))
+        cap = 2 if k % 97 == 0 else None  # a few runs into the pivot cap
+        _hash_outcome(h, lambda: _solve_lp_parts(lp, cap))
+    digests = {"solve_lp": h.hexdigest()}
+    h = hashlib.sha256()
+    for k in range(800):
+        shape = tuple(int(v) for v in rng.integers(1, 9, 2))
+        if k % 2:
+            matrix = rng.integers(-2, 3, shape).astype(float)
+        else:
+            matrix = rng.normal(size=shape) * 10.0
+        _hash_outcome(h, lambda: stage_minimax(matrix))
+    digests["stage_minimax"] = h.hexdigest()
+    h = hashlib.sha256()
+    shapes = [(2, 2), (3, 3), (4, 4), (3, 2), (2, 2, 2)]
+    for k in range(600):
+        actions = shapes[k % len(shapes)]
+        size = (len(actions), int(np.prod(actions)))
+        if k % 2:
+            payoffs = rng.integers(-2, 3, size).astype(float)
+        else:
+            payoffs = rng.normal(size=size)
+        objective = CE_OBJECTIVES[(k // len(shapes)) % len(CE_OBJECTIVES)]
+        _hash_outcome(h, lambda: (solve_ce_distribution(actions, payoffs, objective),))
+    digests["solve_ce_distribution"] = h.hexdigest()
+    return digests
+
+
+def test_solver_outputs_match_pinned_digests():
+    """solve_lp, stage_minimax and solve_ce_distribution keep the bytes
+    pinned under "solvers"."""
+    assert solver_digests() == pinned_digests("solvers")
