@@ -201,10 +201,10 @@ def _require_seed(cfg: dict) -> int:
 
 
 def _out_dir(cfg: dict) -> Path:
-    out = cfg.get("out") or os.environ.get("GTMARL_OUT") or "."
-    path = Path(out)
+    """Make the output directory. It leaves cfg, so that what a run echoes of
+    its config (the manifest, MERL's config line) does not name it."""
+    path = Path(cfg.pop("out", None) or os.environ.get("GTMARL_OUT") or ".")
     path.mkdir(parents=True, exist_ok=True)
-    cfg["out"] = str(path)
     return path
 
 
@@ -487,8 +487,7 @@ def _learn_lola(run: _Run) -> dict:
 def _learn_merl(run: _Run) -> dict:
     config = _config(MerlConfig, run.cfg, MERL_FIELDS, seed=run.seed)
     res = merl_train(config)
-    echo = {k: v for k, v in run.cfg.items() if k != "out"}
-    write_merl_csv(run.curve, res, json.dumps(echo, sort_keys=True))
+    write_merl_csv(run.curve, res, json.dumps(run.cfg, sort_keys=True))
     return {
         "best_fitness": res.best_fitness,
         "best_genome": res.best_genome,

@@ -4,7 +4,7 @@ minimax_solve handles two-player zero-sum games through the value LP in its
 normalized form: after shifting the payoff matrix to be strictly positive,
 each player's optimal mixture is the scaled solution of a one-phase LP
 (max 1'q subject to Aq <= 1, q >= 0). stage_minimax, which the learners call
-once per stale state, solves that LP with linprog's slack-basis kernel and
+once per stale state, solves that LP with linprog's one simplex core and
 returns solve_lp's answer bit for bit. Correlated equilibria come from one
 CE LP statement over a cached incentive index, solved by the general
 solve_lp for all three welfare objectives; ce_violations reads the same

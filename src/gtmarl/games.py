@@ -276,28 +276,25 @@ def make_posg(base: StochasticGame, obs_map, observations=None) -> PosgGame:
 
 # --- canonical 2x2 / 3x3 games -------------------------------------------
 
+# name -> (actions, payoffs); a zero-sum game lists agent 1's payoffs only
+_CLASSIC = {
+    "matching_pennies": ((2, 2), [[1.0, -1.0, -1.0, 1.0]]),
+    # action order (rock, paper, scissors); winner gets +1
+    "rps": ((3, 3), [[0.0, -1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 1.0, 0.0]]),
+    # action order (cooperate, defect); (R, S, T, P) = (3, 0, 5, 1)
+    "prisoners_dilemma": ((2, 2), [[3.0, 0.0, 5.0, 1.0], [3.0, 5.0, 0.0, 1.0]]),
+    "chicken": ((2, 2), [[6.0, 2.0, 7.0, 0.0], [6.0, 7.0, 2.0, 0.0]]),
+}
+
+
 def classic_game(name: str) -> MatrixGame:
     """Fixed textbook games with pinned payoff conventions."""
-    if name == "matching_pennies":
-        u1 = [1.0, -1.0, -1.0, 1.0]
-        return build_matrix_game((2, 2), [u1, [-v for v in u1]])
-    if name == "rps":
-        # action order (rock, paper, scissors); winner gets +1
-        u1 = [0.0, -1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 1.0, 0.0]
-        return build_matrix_game((3, 3), [u1, [-v for v in u1]])
-    if name == "prisoners_dilemma":
-        # action order (cooperate, defect); (R, S, T, P) = (3, 0, 5, 1)
-        u1 = [3.0, 0.0, 5.0, 1.0]
-        u2 = [3.0, 5.0, 0.0, 1.0]
-        return build_matrix_game((2, 2), [u1, u2])
-    if name == "chicken":
-        u1 = [6.0, 2.0, 7.0, 0.0]
-        u2 = [6.0, 7.0, 2.0, 0.0]
-        return build_matrix_game((2, 2), [u1, u2])
-    raise GameFormatError(f"unknown classic game '{name}'")
-
-
-CLASSIC_NAMES = ("matching_pennies", "rps", "prisoners_dilemma", "chicken")
+    if name not in _CLASSIC:
+        raise GameFormatError(f"unknown classic game '{name}'")
+    actions, payoffs = _CLASSIC[name]
+    if len(payoffs) == 1:  # zero-sum: agent 2 gets the negation
+        payoffs = [payoffs[0], [-v for v in payoffs[0]]]
+    return build_matrix_game(actions, payoffs)
 
 
 def expected_payoff(game: MatrixGame, profile: MixedProfile) -> np.ndarray:

@@ -5,11 +5,12 @@ Programs are stated as maximization over variables with individual bounds:
     maximize    objective @ x
     subject to  a_matrix @ x  (<= | == | >=)  rhs,   lower <= x <= upper
 
-Internally everything is reduced to standard form: finite lower bounds are
-shifted to zero, free variables are split into differences of nonnegative
-pairs, finite upper bounds become extra rows. Bland's rule (lowest eligible
-index for both the entering and the leaving variable) makes the pivot
-sequence deterministic and cycle-free.
+solve_lp reduces a program to standard form: finite lower bounds are shifted
+to zero, free variables split into nonnegative pairs, finite upper bounds
+become rows, and rows are negated to make every rhs nonnegative. One simplex
+core, _simplex, solves it and the stage-game value LP (_solve_value_lp) alike.
+Bland's rule (lowest eligible index for both the entering and the leaving
+variable) makes the pivot sequence deterministic and cycle-free.
 """
 
 from __future__ import annotations
@@ -174,153 +175,122 @@ def _run_phase(
             raise SimplexIterationError(budget[1])
 
 
-def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
-    """Two-phase primal simplex. Returns status optimal/infeasible/unbounded;
-    hitting the pivot cap raises SimplexIterationError instead."""
-    n = lp.objective.size
-    m = len(lp.senses)
+def _simplex(a, senses, b, c, max_iterations: int | None = None) -> tuple:
+    """Maximize c @ x subject to a @ x (<= | == | >=) b, x >= 0, for a program
+    already in standard form: b >= 0 and no >= row at b = 0.
 
-    # -- variable transform: shift finite lower bounds, split free variables
-    ns = int(np.sum(np.where(np.isneginf(lp.lower), 2, 1)))
-    a_s = np.zeros((m, ns))
-    c_s = np.zeros(ns)
-    b_adj = lp.rhs.astype(float).copy()
-    var_map: list[tuple] = []  # ("shift", col, lb) | ("split", col)
-    upper_rows: list[tuple[int, float]] = []  # (first col, bound on shifted var)
-    col = 0
-    for j in range(n):
-        aj = lp.a_matrix[:, j] if m else np.zeros(0)
-        if np.isneginf(lp.lower[j]):
-            a_s[:, col] = aj
-            a_s[:, col + 1] = -aj
-            c_s[col] = lp.objective[j]
-            c_s[col + 1] = -lp.objective[j]
-            var_map.append(("split", col))
-            if np.isfinite(lp.upper[j]):
-                upper_rows.append((col, lp.upper[j]))
-            col += 2
-        else:
-            a_s[:, col] = aj
-            c_s[col] = lp.objective[j]
-            var_map.append(("shift", col, lp.lower[j]))
-            if lp.lower[j] != 0.0 and m:
-                b_adj -= aj * lp.lower[j]
-            if np.isfinite(lp.upper[j]):
-                upper_rows.append((col, lp.upper[j] - lp.lower[j]))
-            col += 1
-
-    rows: list[tuple[np.ndarray, str, float]] = [
-        (a_s[i], lp.senses[i], float(b_adj[i])) for i in range(m)
-    ]
-    split_cols = {item[1] for item in var_map if item[0] == "split"}
-    for col0, bound in upper_rows:
-        coef = np.zeros(ns)
-        coef[col0] = 1.0
-        if col0 in split_cols:  # a split pair contributes x+ - x- <= ub
-            coef[col0 + 1] = -1.0
-        rows.append((coef, LESS, float(bound)))
-
-    # -- row normalization: nonnegative rhs, and >= rows at zero become <=
-    norm_rows: list[tuple[np.ndarray, str, float]] = []
-    row_signs = np.ones(len(rows))  # -1 where a row was negated
-    for i, (coef, sense, b) in enumerate(rows):
-        if b < 0.0:
-            coef = -coef
-            b = -b
-            sense = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[sense]
-            row_signs[i] = -1.0
-        if sense == GREATER and b == 0.0:
-            coef = -coef
-            sense = LESS
-            row_signs[i] = -row_signs[i]
-        norm_rows.append((coef, sense, b))
-
-    nrows = len(norm_rows)
-    slack_rows = [i for i, r in enumerate(norm_rows) if r[1] != EQUAL]
-    art_rows = [i for i, r in enumerate(norm_rows) if r[1] != LESS]
-    nslack = len(slack_rows)
-    nart = len(art_rows)
-    ncols = ns + nslack + nart
-    tab = np.zeros((nrows + 2, ncols + 1))  # last two rows: phase-2, phase-1 objective
-    basis = np.full(nrows, -1, dtype=int)
-    slack_col = {r: ns + k for k, r in enumerate(slack_rows)}
-    art_col = {r: ns + nslack + k for k, r in enumerate(art_rows)}
-    for i, (coef, sense, b) in enumerate(norm_rows):
-        tab[i, :ns] = coef
-        tab[i, -1] = b
-        if sense == LESS:
-            tab[i, slack_col[i]] = 1.0
-            basis[i] = slack_col[i]
-        elif sense == GREATER:
-            tab[i, slack_col[i]] = -1.0
-            tab[i, art_col[i]] = 1.0
-            basis[i] = art_col[i]
-        else:
-            tab[i, art_col[i]] = 1.0
-            basis[i] = art_col[i]
-
+    The tableau is [a | slack/surplus | artificial | b], with one slack column
+    per <= and >= row and one artificial per == and >= row, each in row
+    order. Phase 1 runs only when there are artificials. Returns the status,
+    x, and one multiplier per row, read off the final objective row: z_j - c_j
+    at the row's slack (<=), surplus (>=, negated) or artificial (==), or None
+    for both unless optimal. A scalar b or c stands for a constant vector."""
+    nrows, ns = a.shape
+    first_art = ns + nrows - senses.count(EQUAL)
+    ncols = first_art + nrows - senses.count(LESS)
+    # objective rows below the constraints: phase 2, then phase 1 if needed
+    tab = np.zeros((nrows + 1 + (ncols > first_art), ncols + 1))
+    tab[:nrows, :ns] = a
+    tab[:nrows, -1] = b
+    own = []  # each row's slack or surplus column, or its artificial for ==
+    basis = []  # the slack of a <= row, the artificial of an == or >= row
+    slack, art = ns, first_art
+    for i, s in enumerate(senses):
+        if s != EQUAL:
+            tab[i, slack] = -1.0 if s == GREATER else 1.0
+            slack += 1
+        if s != LESS:
+            tab[i, art] = tab[-1, art] = 1.0
+            tab[-1] -= tab[i]  # phase-1 objective: the artificials, priced out
+            art += 1
+        own.append(art - 1 if s == EQUAL else slack - 1)
+        basis.append(slack - 1 if s == LESS else art - 1)
+    basis = np.array(basis, dtype=int)
     if max_iterations is None:
         max_iterations = 1000 + 200 * (nrows + ncols)
     budget = [max_iterations, max_iterations]
     allowed = np.ones(ncols, dtype=bool)
     p2, p1 = nrows, nrows + 1
 
-    if nart:
-        tab[p1, ns + nslack : ns + nslack + nart] = 1.0
-        for i in art_rows:
-            tab[p1] -= tab[i]
-        status = _run_phase(tab, basis, p1, nrows, allowed, budget)
-        if status != OPTIMAL:
+    if ncols > first_art:
+        if _run_phase(tab, basis, p1, nrows, allowed, budget) != OPTIMAL:
             raise NumericalError("phase 1 cannot be unbounded")
         if tab[p1, -1] < -FEAS_TOL:
-            return LpSolution(INFEASIBLE, None, None)
+            return INFEASIBLE, None, None
         # drive leftover artificials out of the basis where possible
-        art_set = set(art_col.values())
         for i in range(nrows):
-            if basis[i] in art_set:
-                candidates = np.flatnonzero(
-                    np.abs(tab[i, : ns + nslack]) > PIVOT_TOL
-                )
+            if basis[i] >= first_art:
+                candidates = np.flatnonzero(np.abs(tab[i, :first_art]) > PIVOT_TOL)
                 if candidates.size:
                     _pivot(tab, basis, i, int(candidates[0]))
-        allowed[ns + nslack :] = False  # artificials may never re-enter
+        allowed[first_art:] = False  # artificials may never re-enter
 
-    tab[p2, :ns] = -c_s
-    for i in range(nrows):
-        coef = tab[p2, basis[i]]
-        if coef != 0.0:
-            tab[p2] -= coef * tab[i]
+    tab[p2, :ns] = -c
+    if ncols > first_art:  # with only slacks in the basis the costs are already priced out
+        for i in range(nrows):
+            coef = tab[p2, basis[i]]
+            if coef != 0.0:
+                tab[p2] -= coef * tab[i]
     status = _run_phase(tab, basis, p2, nrows, allowed, budget)
-    if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None)
+    if status != OPTIMAL:
+        return status, None, None
+    x = np.zeros(ncols)
+    x[basis] = tab[:nrows, -1]
+    duals = tab[p2, own]
+    if GREATER in senses:
+        surplus = [i for i, s in enumerate(senses) if s == GREATER]
+        duals[surplus] = -duals[surplus]
+    return OPTIMAL, x[:ns], duals
 
-    x_std = np.zeros(ncols)
-    x_std[basis] = tab[:nrows, -1]
-    x = np.empty(n)
-    for j, item in enumerate(var_map):
-        if item[0] == "shift":
-            x[j] = item[2] + x_std[item[1]]
-        else:
-            x[j] = x_std[item[1]] - x_std[item[1] + 1]
+
+def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
+    """Two-phase primal simplex. Returns status optimal/infeasible/unbounded;
+    hitting the pivot cap raises SimplexIterationError instead."""
+    n = lp.objective.size
+    m = len(lp.senses)
+
+    # -- variable transform: shift finite lower bounds, split each free
+    # variable into adjacent columns x+ and x-, upper bounds become <= rows
+    free = np.isneginf(lp.lower)
+    first = np.arange(n) + np.cumsum(free) - free  # each variable's first column
+    minus = first[free] + 1
+    ub = np.flatnonzero(np.isfinite(lp.upper))
+    ns = n + len(minus)
+    nrows = m + ub.size
+    a = np.zeros((nrows, ns))
+    a[:m, first] = lp.a_matrix
+    a[:m, minus] = -lp.a_matrix[:, free]
+    a[m + np.arange(ub.size), first[ub]] = 1.0
+    split_ub = free[ub]
+    a[m + np.flatnonzero(split_ub), first[ub[split_ub]] + 1] = -1.0  # x+ - x- <= ub
+    c = np.zeros(ns)
+    c[first] = lp.objective
+    c[minus] = -lp.objective[free]
+    b = np.append(lp.rhs, lp.upper[ub] - np.where(split_ub, 0.0, lp.lower[ub]))
+    for j in np.flatnonzero(~free & (lp.lower != 0.0)):
+        b[:m] -= lp.a_matrix[:, j] * lp.lower[j]
+    senses = list(lp.senses) + [LESS] * ub.size
+
+    # -- row normalization: negate each row with rhs < 0 and each >= row at
+    # rhs 0, so that b >= 0 and every >= row has a positive artificial
+    row_signs = np.ones(nrows)  # -1 where a row was negated
+    for i in range(nrows):
+        if b[i] < 0.0 or (senses[i] == GREATER and b[i] == 0.0):
+            senses[i] = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[senses[i]]
+            row_signs[i] = -1.0
+    a[row_signs < 0.0] *= -1.0
+    b[b < 0.0] *= -1.0  # a zero rhs keeps its sign
+
+    status, x_std, duals = _simplex(a, senses, b, c, max_iterations)
+    if status != OPTIMAL:
+        return LpSolution(status, None, None)
+    x = lp.lower + x_std[first]
+    x[free] = x_std[first[free]] - x_std[minus]
     bad = check_feasible(lp, x, FEAS_TOL)
     if bad:
         worst = max(v.amount for v in bad)
         raise NumericalError(f"simplex returned an infeasible point (off by {worst:g})")
-
-    # multipliers for the user's rows, read off the final objective row:
-    # z_j - c_j at a row's slack (<=), surplus (>=, negated), or artificial (=)
-    duals = np.empty(m)
-    obj = tab[p2]
-    for i in range(m):
-        sense = norm_rows[i][1]
-        if sense == LESS:
-            duals[i] = obj[slack_col[i]]
-        elif sense == GREATER:
-            duals[i] = -obj[slack_col[i]]
-        else:
-            duals[i] = obj[art_col[i]]
-        duals[i] *= row_signs[i]
-    return LpSolution(OPTIMAL, x, float(lp.objective @ x), duals)
+    return LpSolution(OPTIMAL, x, float(lp.objective @ x), duals[:m] * row_signs[:m])
 
 
 def _solve_value_lp(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,27 +298,13 @@ def _solve_value_lp(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k1 x k2 matrix m: the normalized value LP of a zero-sum stage game.
 
     Returns q and the row duals. The slack basis is feasible from the start,
-    so the tableau [m | I | 1] with objective row [-1 | 0 | 0] goes straight
-    to phase 2. The pivots are the ones solve_lp makes on the same program,
-    and so are the results, bit for bit.
-    """
+    so the simplex core goes straight to phase 2."""
     k1, k2 = m.shape
-    ncols = k2 + k1
-    tab = np.zeros((k1 + 1, ncols + 1))
-    tab[:k1, :k2] = m
-    tab[:k1, k2:ncols] = np.eye(k1)
-    tab[:k1, -1] = 1.0
-    tab[k1, :k2] = -1.0
-    basis = np.arange(k2, ncols)
-    cap = 1000 + 200 * (k1 + ncols)  # solve_lp's default: 1000 + 200 * (rows + cols)
-    status = _run_phase(tab, basis, k1, k1, np.ones(ncols, dtype=bool), [cap, cap])
+    status, q, duals = _simplex(m, (LESS,) * k1, 1.0, 1.0)
     if status != OPTIMAL:
         raise NumericalError(f"value LP ended with status {status}")
-    x_std = np.zeros(ncols)
-    x_std[basis] = tab[:k1, -1]
-    q = x_std[:k2]
     # the checks solve_lp's check_feasible makes on this program, vectorized
-    worst = max(float(np.max(m @ q - 1.0)), float(np.max(-q)))
+    worst = max(float((m @ q - 1.0).max()), float((-q).max()))
     if worst > FEAS_TOL:
         raise NumericalError(f"simplex returned an infeasible point (off by {worst:g})")
-    return q, tab[k1, k2:ncols].copy()
+    return q, duals

@@ -211,6 +211,19 @@ class TestStageKernel:
     def test_bit_identical_to_general_solver(self, matrix):
         assert outcome(stage_minimax, matrix) == outcome(reference_stage_minimax, matrix)
 
+    @pytest.mark.xfail(strict=True, raises=NumericalError,
+                       reason="FEAS_TOL is absolute: rounding on rows of A+k near 7 exceeds it")
+    def test_entries_near_float32_epsilon(self):
+        # A valid stage matrix that fails today with "simplex returned an
+        # infeasible point (off by 1.78814e-09)"; it must pass once the
+        # feasibility check is relative.
+        e = 1.1920929e-07
+        a = np.array([[-3.0, e, e, e], [e, 0.0, -6.0, e], [e, e, -1.0, e]])
+        value, x, y = stage_minimax(a)
+        tol = linprog.FEAS_TOL * (1.0 + np.abs(a).max())
+        assert value == pytest.approx(-0.7499999552965153, abs=tol)  # HiGHS
+        assert np.all(x @ a >= value - tol) and np.all(a @ y <= value + tol)
+
     def test_rejects_bad_input(self):
         with pytest.raises(SpecError, match="2-D"):
             stage_minimax([1.0, 2.0])
