@@ -3,12 +3,11 @@
 minimax_solve handles two-player zero-sum games through the value LP in its
 normalized form: after shifting the payoff matrix to be strictly positive,
 each player's optimal mixture is the scaled solution of a one-phase LP
-(max 1'q subject to Aq <= 1, q >= 0). stage_minimax, which the learners call
-once per stale state, solves that LP with linprog's one simplex core and
-returns solve_lp's answer bit for bit. Correlated equilibria come from one
-CE LP statement over a cached incentive index, solved by the general
-solve_lp for all three welfare objectives; ce_violations reads the same
-index. A support enumeration oracle covers small general-sum games.
+(max 1'q subject to Aq <= 1, q >= 0). Correlated equilibria come from one CE
+LP statement over a cached incentive index for all three welfare objectives;
+ce_violations reads the same index. Both LPs are stated in standard form and
+solved by linprog's simplex core directly, with solve_lp's answer bit for bit.
+A support enumeration oracle covers small general-sum games.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import NumericalError, SpecError
 from .games import MatrixGame, MixedProfile, expected_payoff, joint_count, mixed_profile, strides
-from .linprog import OPTIMAL, _solve_value_lp, linear_program, solve_lp
+from .linprog import EQUAL, LESS, _solve_standard
 
 UTILITARIAN = "utilitarian_sum"
 EGALITARIAN = "egalitarian_min"
@@ -73,7 +72,7 @@ def stage_minimax(matrix) -> tuple[float, np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(a)):
         raise SpecError("stage payoff matrix has non-finite entries")
     shift = 1.0 - a.min()
-    q, row_duals = _solve_value_lp(a + shift)
+    q, row_duals = _solve_standard(a + shift, (LESS,) * a.shape[0], 1.0, 1.0, "value LP")
     duals = np.where(row_duals > 0.0, row_duals, 0.0)  # clip -1e-11 drift
     total = float(q.sum())
     dual_total = float(duals.sum())
@@ -167,7 +166,8 @@ def solve_ce_distribution(actions, payoffs_flat, objective: str) -> np.ndarray:
 
     One LP over the distribution: incentive rows >= 0 and total mass 1.
     Utilitarian maximizes the summed payoffs, plutocratic each agent's in
-    turn (the first best wins), and egalitarian a free floor z <= u_i'lambda."""
+    turn (the first best wins), and egalitarian a free floor z <= u_i'lambda.
+    The rows and columns are in the order solve_lp would reduce them to."""
     actions = tuple(int(k) for k in actions)
     count = joint_count(actions)
     if count > MAX_JOINT_ACTIONS:
@@ -176,27 +176,23 @@ def solve_ce_distribution(actions, payoffs_flat, objective: str) -> np.ndarray:
         raise SpecError(f"unknown objective {objective!r}")
     u = np.asarray(payoffs_flat, dtype=float)
     inc, _ = _incentive_rows(actions, u)
-    a = np.vstack([inc, np.ones((1, count))])
-    senses = (">=",) * inc.shape[0] + ("==",)
-    rhs = np.append(np.zeros(inc.shape[0]), 1.0)
-    lower = np.zeros(count)
+    # standard form: each incentive row at rhs 0 negated into a <= row
+    a = np.vstack([-inc, np.ones((1, count))])
+    senses = (LESS,) * inc.shape[0] + (EQUAL,)
+    b = np.append(np.zeros(inc.shape[0]), 1.0)
     if objective == EGALITARIAN:
-        a = np.block([[a, np.zeros((a.shape[0], 1))], [-u, np.ones((u.shape[0], 1))]])
-        senses += ("<=",) * u.shape[0]
-        rhs = np.append(rhs, np.zeros(u.shape[0]))
-        lower = np.append(lower, -np.inf)
-        weights = [np.append(np.zeros(count), 1.0)]
+        # the floor z = z+ - z- in two columns, -u_i'lambda + z <= 0
+        ones = np.ones((u.shape[0], 1))
+        a = np.block([[a, np.zeros((a.shape[0], 2))], [-u, ones, -ones]])
+        senses += (LESS,) * u.shape[0]
+        b = np.append(b, np.zeros(u.shape[0]))
+        weights = [np.append(np.zeros(count), (1.0, -1.0))]
     elif objective == UTILITARIAN:
         weights = [np.sum(u, axis=0)]
     else:
         weights = list(u)
-    solutions = []
-    for c in weights:
-        sol = solve_lp(linear_program(c, a, senses, rhs, lower=lower))
-        if sol.status != OPTIMAL:
-            raise NumericalError(f"CE LP ended with status {sol.status}")
-        solutions.append(sol)
-    lam = max(solutions, key=lambda solution: solution.objective_value).x[:count]
+    solved = [(c, _solve_standard(a, senses, b, c, "CE LP")[0]) for c in weights]
+    lam = max(solved, key=lambda cx: cx[0] @ cx[1])[1][:count]
     lam = np.where(lam > 0.0, lam, 0.0)
     total = lam.sum()
     if not np.isfinite(total) or total <= 0.0:

@@ -7,8 +7,10 @@ Programs are stated as maximization over variables with individual bounds:
 
 solve_lp reduces a program to standard form: finite lower bounds are shifted
 to zero, free variables split into nonnegative pairs, finite upper bounds
-become rows, and rows are negated to make every rhs nonnegative. One simplex
-core, _simplex, solves it and the stage-game value LP (_solve_value_lp) alike.
+become rows, and rows are negated to make every rhs nonnegative; it is the
+general solver only. One simplex core, _simplex, solves that standard form, and
+every stage LP (the minimax value LP and the CE LP) is stated in standard form
+by its caller and solved by the core through _solve_standard.
 Bland's rule (lowest eligible index for both the entering and the leaving
 variable) makes the pivot sequence deterministic and cycle-free.
 """
@@ -293,18 +295,18 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
     return LpSolution(OPTIMAL, x, float(lp.objective @ x), duals[:m] * row_signs[:m])
 
 
-def _solve_value_lp(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """maximize 1'q subject to m @ q <= 1, q >= 0, for a strictly positive
-    k1 x k2 matrix m: the normalized value LP of a zero-sum stage game.
-
-    Returns q and the row duals. The slack basis is feasible from the start,
-    so the simplex core goes straight to phase 2."""
-    k1, k2 = m.shape
-    status, q, duals = _simplex(m, (LESS,) * k1, 1.0, 1.0)
+def _solve_standard(a, senses, b, c, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """_simplex on a program stated directly in standard form with <= and ==
+    rows only, as the stage value LP and the CE LP are. Raises unless the
+    solve ends optimal at a point within FEAS_TOL of every row and of x >= 0;
+    returns x and the row multipliers."""
+    status, x, duals = _simplex(a, senses, b, c)
     if status != OPTIMAL:
-        raise NumericalError(f"value LP ended with status {status}")
-    # the checks solve_lp's check_feasible makes on this program, vectorized
-    worst = max(float((m @ q - 1.0).max()), float((-q).max()))
+        raise NumericalError(f"{what} ended with status {status}")
+    resid = a @ x - b
+    if EQUAL in senses:
+        resid = np.where(np.array(senses) == EQUAL, np.abs(resid), resid)
+    worst = max(float(resid.max()), float((-x).max()))
     if worst > FEAS_TOL:
         raise NumericalError(f"simplex returned an infeasible point (off by {worst:g})")
-    return q, duals
+    return x, duals

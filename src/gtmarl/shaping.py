@@ -110,6 +110,14 @@ def _outcome_chain(theta1: np.ndarray, theta2: np.ndarray):
     return p0, m, p1, p2
 
 
+def _solve_outcome(k: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """K^{-1} rhs for the outcome system K = I - gamma M or its transpose."""
+    try:
+        return np.linalg.solve(k, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular outcome system: {exc}") from exc
+
+
 def _stage_vectors(game: IteratedGame) -> tuple[np.ndarray, np.ndarray]:
     return game.stage.payoff_flat(0), game.stage.payoff_flat(1)
 
@@ -118,11 +126,7 @@ def exact_values(game: IteratedGame, p1: Memory1Policy, p2: Memory1Policy) -> tu
     """Exact discounted values of the policy pair (no 1 - gamma scaling)."""
     p0, m, _, _ = _outcome_chain(p1.theta, p2.theta)
     r1, r2 = _stage_vectors(game)
-    k = np.eye(4) - game.gamma * m
-    try:
-        z = np.linalg.solve(k, np.stack([r1, r2], axis=1))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular outcome system: {exc}") from exc
+    z = _solve_outcome(np.eye(4) - game.gamma * m, np.stack([r1, r2], axis=1))
     return float(p0 @ z[:, 0]), float(p0 @ z[:, 1])
 
 
@@ -132,10 +136,7 @@ def mean_cooperation(game: IteratedGame, p1: Memory1Policy, p2: Memory1Policy) -
     action."""
     p0, m, _, _ = _outcome_chain(p1.theta, p2.theta)
     k = np.eye(4) - game.gamma * m
-    try:
-        visits = np.linalg.solve(k.T, p0) * (1.0 - game.gamma)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular outcome system: {exc}") from exc
+    visits = _solve_outcome(k.T, p0) * (1.0 - game.gamma)
     return float(visits[0] + visits[1]), float(visits[0] + visits[2])
 
 
@@ -150,11 +151,8 @@ def value_gradients(game: IteratedGame, p1: Memory1Policy, p2: Memory1Policy):
     p0, m, prob1, prob2 = _outcome_chain(theta1, theta2)
     r1, r2 = _stage_vectors(game)
     k = np.eye(4) - game.gamma * m
-    try:
-        z = np.linalg.solve(k, np.stack([r1, r2], axis=1))
-        w = np.linalg.solve(k.T, p0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular outcome system: {exc}") from exc
+    z = _solve_outcome(k, np.stack([r1, r2], axis=1))
+    w = _solve_outcome(k.T, p0)
     sig_grad1 = prob1 * (1.0 - prob1)
     sig_grad2 = prob2 * (1.0 - prob2)
 

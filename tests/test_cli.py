@@ -109,7 +109,7 @@ class TestStageErrorContext:
                          r"stage CE violates incentives by 0\.5", capsys.readouterr().err)
 
 
-# Feasible CE LPs on which solve_lp fails today (exit 4). Each must pass once
+# Feasible CE LPs on which the simplex fails today (exit 4). Each must pass once
 # the CE LP is fixed, and then strict xfail turns red until the mark goes.
 KNOWN_CE_FAILURES = [
     ["solve", "ce", "--game", "random:matrix:4x4", "--objective", "utilitarian", "--seed", 8],

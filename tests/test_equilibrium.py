@@ -29,10 +29,12 @@ from gtmarl.games import (
     build_matrix_game,
     classic_game,
     joint_count,
+    make_stochastic_game,
     mixed_profile,
     random_game,
     strides,
 )
+from gtmarl.learners import LearningSchedule, correlated_q_train, minimax_q_train
 from gtmarl.linprog import OPTIMAL, LinearProgram, linear_program, solve_lp
 
 
@@ -489,11 +491,15 @@ def ce_outcome(solver, actions, payoffs, objective):
 
 @st.composite
 def ce_stage_games(draw):
-    """Two-agent shapes up to 3x3 and three-agent shapes up to 2x2x2, with
-    real or small-integer payoffs (ties and degenerate vertices), an
-    objective and a nonnegative test distribution."""
+    """Two-agent shapes up to 3x3 and 4x4, and three-agent shapes up to
+    2x2x2, with real or small-integer payoffs (ties and degenerate
+    vertices), an objective and a nonnegative test distribution. Half the
+    two-agent draws are 4x4, 3x2 or 2x3, the shapes where the CE LP is known
+    to fail, so that error texts are compared too."""
     agents = draw(st.sampled_from((2, 3)))
     actions = tuple(draw(st.integers(1, 3 if agents == 2 else 2)) for _ in range(agents))
+    if agents == 2 and draw(st.booleans()):
+        actions = draw(st.sampled_from(((4, 4), (3, 2), (2, 3))))
     count = joint_count(actions)
     if draw(st.booleans()):
         elements = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -507,16 +513,20 @@ def ce_stage_games(draw):
 
 
 def known_failing_ce(seed, actions, objective):
-    """A feasible CE LP on which solve_lp fails today (see
+    """A feasible CE LP on which the simplex fails today (see
     test_cli.test_known_ce_lp_failures), as a ce_stage_games example."""
     g = random_game(seed, actions)
     payoffs = [g.payoff_flat(i) for i in range(g.num_agents)]
     return actions, payoffs, objective, np.full(g.joint_actions, 1.0 / g.joint_actions)
 
 
+CHICKEN = [[6.0, 2.0, 7.0, 0.0], [6.0, 7.0, 2.0, 0.0]]
+
+
 class TestCeLayer:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(ce_stage_games())
+    @example(known_failing_ce(8, (4, 4), UTILITARIAN))
     @example(known_failing_ce(405, (3, 3), UTILITARIAN))
     @example(known_failing_ce(3116, (2, 2, 2), EGALITARIAN))
     def test_bit_identical_to_loop_reference(self, game):
@@ -528,3 +538,50 @@ class TestCeLayer:
             # repr tells -0.0 from 0.0 and a numpy scalar from a float
             assert repr(ce_violations(actions, payoffs, dist)) == repr(
                 reference_ce_violations(actions, payoffs, dist))
+
+    @staticmethod
+    def patch_phase_2(monkeypatch, after):
+        """Run phase 1 as is and pass phase 2's tableau, basis and status to
+        after, whose return value becomes phase 2's status."""
+        run_phase = linprog._run_phase
+
+        def patched(tab, basis, obj_row, nrows, *args):
+            status = run_phase(tab, basis, obj_row, nrows, *args)
+            return after(tab, basis, status) if obj_row == nrows else status
+
+        monkeypatch.setattr(linprog, "_run_phase", patched)
+
+    def test_status_check(self, monkeypatch):
+        self.patch_phase_2(monkeypatch, lambda tab, basis, status: "unbounded")
+        with pytest.raises(NumericalError, match="CE LP ended with status unbounded"):
+            solve_ce_distribution((2, 2), CHICKEN, UTILITARIAN)
+
+    def test_feasibility_check(self, monkeypatch):
+        def corrupt(tab, basis, status):
+            basis[0] = 0
+            tab[0, -1] = 5.0  # lambda[0] = 5 breaks the total-mass row
+            return status
+
+        self.patch_phase_2(monkeypatch, corrupt)
+        with pytest.raises(NumericalError, match="simplex returned an infeasible point"):
+            solve_ce_distribution((2, 2), CHICKEN, UTILITARIAN)
+
+
+def test_stage_solvers_and_learners_bypass_the_general_solver(monkeypatch):
+    """stage_minimax, every CE objective, minimax-Q and correlated-Q call the
+    simplex core directly, never solve_lp or check_feasible."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("general LP solver called on a stage LP path")
+
+    monkeypatch.setattr(linprog, "solve_lp", forbidden)
+    monkeypatch.setattr(linprog, "check_feasible", forbidden)
+    stage_minimax([[1.0, -1.0], [-1.0, 1.0]])
+    for objective in (UTILITARIAN, EGALITARIAN, PLUTOCRATIC):
+        solve_ce_distribution((2, 2), CHICKEN, objective)
+    rng = np.random.default_rng(5)
+    transition = rng.dirichlet(np.ones(2), size=(2, 4))
+    rewards = rng.normal(size=(2, 4))
+    schedule = LearningSchedule(max_steps=50, seed=1)
+    minimax_q_train(make_stochastic_game((2, 2), transition, [rewards, -rewards], 0.9), schedule)
+    general = make_stochastic_game((2, 2), transition, [rewards, rng.normal(size=(2, 4))], 0.9)
+    correlated_q_train(general, schedule=schedule)
