@@ -869,3 +869,36 @@ def test_solver_outputs_match_pinned_digests():
     """solve_lp, stage_minimax and solve_ce_distribution keep the bytes
     pinned under "solvers"."""
     assert solver_digests() == pinned_digests("solvers")
+
+
+def merl_digests() -> dict:
+    """sha256 over merl_train on a seeded grid: 2, 3 and 5 agents, horizons
+    1, 7 and 25, migration on and off, a meet radius that rarely and one
+    that often ends episodes early, and a 150-row buffer that wraps beside
+    one that does not. Each run hashes its history floats, best_genomes,
+    best_genome, best_fitness and pg_genome."""
+    h = hashlib.sha256()
+    grid = itertools.product(
+        (2, 3, 5), (1, 7, 25), (None, 2), ((3, 1), (6, 2)), (0.5, 3.0), (150, 5000)
+    )
+    for k, (agents, horizon, migration, (size, elite), meet, capacity) in enumerate(grid):
+        res = merl_train(MerlConfig(
+            num_agents=agents, population=size, elite_count=elite, generations=3,
+            horizon=horizon, epsilon_meet=meet, buffer_capacity=capacity,
+            batch_size=8, pg_updates=2, alpha_q=0.05, alpha_pi=0.05,
+            migration_period=migration, eval_episodes=2, seed=k,
+        ))
+        for stats in res.history:
+            h.update(np.array([
+                stats.generation, stats.best_fitness, stats.mean_fitness,
+                stats.pg_fitness, stats.best_ever,
+            ]).tobytes())
+        for genome in res.best_genomes + (res.best_genome, res.pg_genome):
+            h.update(np.asarray(genome, dtype=float).tobytes())
+        h.update(np.array([res.best_fitness]).tobytes())
+    return {"merl_train": h.hexdigest()}
+
+
+def test_merl_outputs_match_pinned_digests():
+    """merl_train keeps the bytes pinned under "merl"."""
+    assert merl_digests() == pinned_digests("merl")
