@@ -7,7 +7,8 @@ critics off the shared replay buffers. Every migration period the gradient
 team's weights are copied over the worst non-elite genome.
 
 Fitness is always measured on the same fixed evaluation episodes, so with
-elitism the best-ever fitness is literally nondecreasing. All randomness is
+elitism the best-ever fitness is literally nondecreasing; one batched
+rollout steps a generation's episodes together. All randomness is
 split over three generator streams (population init + evolution, gradient
 updates, evaluation seeds are plain integers), which keeps the evolutionary
 trajectory bit-identical whether or not gradient updates run.
@@ -65,27 +66,40 @@ class RendezvousEnv:
         """Returns (positions, local rewards, team reward, done)."""
         if self._done:
             raise SpecError("episode already finished; call reset()")
-        act = np.clip(np.asarray(joint_action, dtype=float), -1.0, 1.0)
+        act = np.asarray(joint_action, dtype=float)
         if act.shape != (self.num_agents,):
             raise SpecError("one action per agent is required")
-        self.positions = self.positions + act
-        total = self.positions.sum()
-        n = self.num_agents
-        other_centroid = (total - self.positions) / (n - 1)
-        local = -np.abs(self.positions - other_centroid)
-        spread = np.abs(self.positions[:, None] - self.positions[None, :])
-        met = bool(spread.max() < self.epsilon_meet)
+        self.positions, _, local, met = _rendezvous_rules(self.positions, act, self.epsilon_meet)
+        met = bool(met)
         team = 1.0 if met else 0.0
         self._t += 1
         self._done = met or self._t >= self.horizon
         return self.positions.copy(), local, team, self._done
 
 
+def _features(positions: np.ndarray) -> np.ndarray:
+    """(own position, centroid of the other agents, 1) for every agent, the
+    agents on the last axis of positions."""
+    total = positions.sum(axis=-1, keepdims=True)
+    centroid = (total - positions) / (positions.shape[-1] - 1)
+    return np.stack([positions, centroid, np.ones_like(positions)], axis=-1)
+
+
+def _rendezvous_rules(positions: np.ndarray, action: np.ndarray, epsilon_meet: float):
+    """The rendezvous rules on arrays with the agents on the last axis: move
+    by the clipped action; return (positions, features, local rewards,
+    whether every pairwise distance is below epsilon_meet) after the move."""
+    positions = positions + np.clip(action, -1.0, 1.0)
+    phi = _features(positions)
+    local = -np.abs(positions - phi[..., 1])
+    # rounding is monotone, so max - min is the largest rounded |p_i - p_j|
+    met = positions.max(axis=-1) - positions.min(axis=-1) < epsilon_meet
+    return positions, phi, local, met
+
+
 def agent_features(positions: np.ndarray, agent: int) -> np.ndarray:
     """(own position, centroid of the other agents, 1)."""
-    n = positions.size
-    centroid = (positions.sum() - positions[agent]) / (n - 1)
-    return np.array([positions[agent], centroid, 1.0])
+    return _features(positions)[agent]
 
 
 @dataclass(frozen=True)
@@ -129,33 +143,36 @@ class ReplayBuffer:
             raise SpecError("capacity must be positive")
         self.capacity = capacity
         self.insertions = 0
-        self._phi = np.zeros((capacity, FEATURE_DIM))
-        self._act = np.zeros(capacity)
-        self._rew = np.zeros(capacity)
-        self._phi_next = np.zeros((capacity, FEATURE_DIM))
+        self._fields = (
+            np.zeros((capacity, FEATURE_DIM)), np.zeros(capacity),
+            np.zeros(capacity), np.zeros((capacity, FEATURE_DIM)),
+        )
 
     def __len__(self) -> int:
         return min(self.insertions, self.capacity)
 
     def push(self, phi, action: float, reward: float, phi_next) -> None:
         slot = self.insertions % self.capacity
-        self._phi[slot] = phi
-        self._act[slot] = action
-        self._rew[slot] = reward
-        self._phi_next[slot] = phi_next
+        for store, value in zip(self._fields, (phi, action, reward, phi_next)):
+            store[slot] = value
         self.insertions += 1
+
+    def extend(self, phi, action, reward, phi_next) -> None:
+        """push() every row of the arrays in order, as one ring write: only
+        the last `capacity` rows survive, so only they are written."""
+        count = len(action)
+        keep = min(count, self.capacity)
+        slots = (self.insertions + count - keep + np.arange(keep)) % self.capacity
+        for store, rows in zip(self._fields, (phi, action, reward, phi_next)):
+            store[slots] = rows[count - keep :]
+        self.insertions += count
 
     def sample(self, rng: np.random.Generator, batch_size: int):
         size = len(self)
         if size == 0:
             raise SpecError("cannot sample from an empty buffer")
         idx = rng.integers(0, size, size=batch_size)
-        return (
-            self._phi[idx].copy(),
-            self._act[idx].copy(),
-            self._rew[idx].copy(),
-            self._phi_next[idx].copy(),
-        )
+        return tuple(store[idx] for store in self._fields)  # indexing copies
 
 
 def soft_update(target_params: np.ndarray, online_params: np.ndarray, tau: float) -> np.ndarray:
@@ -213,30 +230,33 @@ class TeamPopulation:
             )
 
 
-def genome_actors(genome: np.ndarray, num_agents: int) -> list[LinearActor]:
-    parts = np.asarray(genome, dtype=float).reshape(num_agents, FEATURE_DIM)
-    return [LinearActor(parts[i].copy()) for i in range(num_agents)]
-
-
-def rollout_team(env: RendezvousEnv, genome: np.ndarray, seed: int):
-    """One episode; returns (fitness = total team reward, per-agent
-    transition lists of (phi, action, local reward, next phi)). A step's
-    next phi is the next step's phi: the same array, not a copy."""
-    actors = genome_actors(genome, env.num_agents)
-    positions = env.reset(seed)
-    transitions = [[] for _ in range(env.num_agents)]
-    fitness = 0.0
-    done = False
-    phis = [agent_features(positions, i) for i in range(env.num_agents)]
-    while not done:
-        actions = np.array([float(actors[i].act(phis[i])) for i in range(env.num_agents)])
-        positions, local, team, done = env.step(actions)
-        fitness += team
-        next_phis = [agent_features(positions, i) for i in range(env.num_agents)]
-        for i in range(env.num_agents):
-            transitions[i].append((phis[i], float(actions[i]), float(local[i]), next_phis[i]))
-        phis = next_phis
-    return fitness, transitions
+def rollout_team(env: RendezvousEnv, genomes, seeds):
+    """One episode of every genome on every seed, stepped together; an
+    episode leaves the live set once its agents meet or the horizon ends.
+    Returns (fitness[g, s] = total team reward, transitions), transitions
+    being (phi (K, n, 3), action (K, n), local reward (K, n), next phi
+    (K, n, 3)) with rows in genome, then seed, then step order."""
+    g, s, horizon = len(genomes), len(seeds), env.horizon
+    pos = np.tile([env.reset(seed) for seed in seeds], (g, 1))
+    weights = np.repeat(np.asarray(genomes, dtype=float).reshape(g, -1, FEATURE_DIM, 1), s, 0)
+    # phi[e, t] holds episode e's features before step t, phi[e, t + 1] after it
+    phi = np.empty((g * s, horizon + 1, env.num_agents, FEATURE_DIM))
+    phi[:, 0] = _features(pos)
+    action, reward = np.empty((2, g * s, horizon, env.num_agents))
+    fitness = np.zeros(g * s)
+    steps = np.zeros((g * s, horizon), dtype=bool)
+    live = np.arange(g * s)
+    for t in range(horizon):
+        if not live.size:
+            break
+        # a (1, 3) @ (3, 1) product per agent: the same dot as LinearActor.act
+        act = np.clip(np.matmul(phi[live, t, :, None], weights[live])[..., 0, 0], -1.0, 1.0)
+        pos, phi[live, t + 1], local, met = _rendezvous_rules(pos, act, env.epsilon_meet)
+        action[live, t], reward[live, t], steps[live, t] = act, local, True
+        fitness[live] += met
+        live, pos = live[~met], pos[~met]
+    transitions = (phi[:, :-1][steps], action[steps], reward[steps], phi[:, 1:][steps])
+    return fitness.reshape(g, s), transitions
 
 
 def _rank_order(fitnesses: np.ndarray) -> list[int]:
@@ -378,24 +398,17 @@ def merl_train(config: MerlConfig) -> MerlResult:
     target_critics = [QuadraticCritic(c.weights.copy()) for c in critics]
     buffers = [ReplayBuffer(config.buffer_capacity) for _ in range(config.num_agents)]
 
-    def evaluate(genome: np.ndarray) -> float:
-        total = 0.0
-        for s in eval_seeds:
-            fitness, transitions = rollout_team(env, genome, s)
-            total += fitness
-            for i in range(config.num_agents):
-                for phi, act, rew, phi_next in transitions[i]:
-                    buffers[i].push(phi, act, rew, phi_next)
-        return total / len(eval_seeds)
-
     history = []
     best_genomes = []
     best_ever = -np.inf
     best_genome = pop.genomes[0].copy()
     for gen in range(config.generations):
-        fitnesses = np.array([evaluate(g) for g in pop.genomes])
         pg_genome = np.concatenate([a.weights for a in actors])
-        pg_fitness = evaluate(pg_genome)
+        fitness, transitions = rollout_team(env, pop.genomes + [pg_genome], eval_seeds)
+        for i, buffer in enumerate(buffers):
+            buffer.extend(*(part[:, i] for part in transitions))
+        fitnesses = fitness.mean(axis=1)[:-1]
+        pg_fitness = fitness[-1].mean()
 
         order = _rank_order(fitnesses)
         gen_best = order[0]

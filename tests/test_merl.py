@@ -1,10 +1,14 @@
 """Hybrid evolutionary / policy-gradient training: environment mechanics,
-finite-difference checks of both gradient updates, target-network tracking,
-and determinism of the full loop."""
+the batched rollout against a one-episode-at-a-time reference, the replay
+ring, finite-difference checks of both gradient updates, target-network
+tracking, and determinism of the full loop."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gtmarl import merl
 from gtmarl.errors import SpecError
 from gtmarl.merl import (
     CRITIC_DIM,
@@ -209,6 +213,27 @@ class TestReplayBuffer:
         c = buf.sample(np.random.default_rng(5), 8)
         assert np.array_equal(b[0], c[0])
 
+    @pytest.mark.parametrize(
+        "capacity, before, count",
+        [(10, 0, 4), (10, 3, 0), (10, 7, 6), (10, 3, 25), (1, 2, 3)],
+        ids=["fits", "empty", "wraps", "exceeds", "one-slot"],
+    )
+    def test_extend_matches_push_loop(self, capacity, before, count):
+        rng = np.random.default_rng(capacity + before + count)
+        rows = random_batch(rng, before + count)
+        pushed, extended = ReplayBuffer(capacity), ReplayBuffer(capacity)
+        for k in range(before):
+            extended.push(*(part[k] for part in rows))
+        for k in range(before + count):
+            pushed.push(*(part[k] for part in rows))
+        extended.extend(*(part[before:] for part in rows))
+        assert extended.insertions == pushed.insertions == before + count
+        assert len(extended) == len(pushed)
+        if len(pushed):
+            a = pushed.sample(np.random.default_rng(9), 50)
+            b = extended.sample(np.random.default_rng(9), 50)
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
     def test_empty_sample_rejected(self):
         with pytest.raises(SpecError):
             ReplayBuffer(4).sample(np.random.default_rng(0), 1)
@@ -216,29 +241,84 @@ class TestReplayBuffer:
             ReplayBuffer(0)
 
 
+def reference_rollout(env, genomes, seeds):
+    """One episode at a time, one agent at a time, through RendezvousEnv.step,
+    agent_features and LinearActor.act: the loop that rollout_team batches.
+    Returns what rollout_team returns."""
+    n = env.num_agents
+    fitness = np.zeros((len(genomes), len(seeds)))
+    rows = []
+    for g, genome in enumerate(genomes):
+        actors = [LinearActor(w.copy()) for w in np.reshape(genome, (n, FEATURE_DIM))]
+        for k, seed in enumerate(seeds):
+            positions = env.reset(seed)
+            done = False
+            while not done:
+                phis = [agent_features(positions, i) for i in range(n)]
+                actions = np.array([float(actors[i].act(phis[i])) for i in range(n)])
+                positions, local, team, done = env.step(actions)
+                fitness[g, k] += team
+                next_phis = [agent_features(positions, i) for i in range(n)]
+                rows.append((phis, actions, local, next_phis))
+    return fitness, tuple(np.array(part) for part in zip(*rows))
+
+
+@st.composite
+def rollout_cases(draw):
+    """Environments with 2..5 agents and horizons 1..25, and genome lists
+    that mix random teams (which often run to the horizon) with noisy
+    seeking teams (which meet after a few steps)."""
+    n = draw(st.integers(2, 5))
+    env = RendezvousEnv(
+        num_agents=n,
+        horizon=draw(st.integers(1, 25)),
+        epsilon_meet=draw(st.sampled_from([0.05, 0.5, 1.5, 3.0, 9.0])),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    genomes = []
+    for _ in range(draw(st.integers(1, 4))):
+        scale = draw(st.sampled_from([0.1, 1.0, 3.0]))
+        seeking = draw(st.booleans())
+        genomes.append(np.tile([-1.0, 1.0, 0.0], n) * seeking + scale * rng.normal(size=3 * n))
+    seeds = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
+    return env, genomes, seeds
+
+
 class TestRollout:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rollout_cases())
+    # every episode meets at step 1: nine exceeds any spread after one move
+    @example((RendezvousEnv(num_agents=4, epsilon_meet=9.0), [np.tile([0.0, 0.0, 1.0], 4)], [1, 2]))
+    def test_matches_one_episode_at_a_time(self, case):
+        env, genomes, seeds = case
+        fitness, transitions = rollout_team(env, genomes, seeds)
+        ref_fitness, ref_transitions = reference_rollout(env, genomes, seeds)
+        assert fitness.tobytes() == ref_fitness.tobytes()
+        for got, ref in zip(transitions, ref_transitions):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
     def test_seeking_team_meets(self):
         env = RendezvousEnv()
         for seed in range(5):
-            fitness, transitions = rollout_team(env, SEEK, seed)
-            assert fitness == 1.0
-            assert len(transitions) == 3
-            assert len(transitions[0]) <= 25
+            fitness, (phi, action, reward, phi_next) = rollout_team(env, [SEEK], [seed])
+            assert fitness[0, 0] == 1.0
+            assert action.shape[1] == 3
+            assert len(action) <= 25
 
     def test_drifting_team_never_meets(self):
         env = RendezvousEnv()
-        fitness, transitions = rollout_team(env, DRIFT, 0)
-        assert fitness == 0.0
-        assert len(transitions[0]) == 25
+        fitness, (phi, action, reward, phi_next) = rollout_team(env, [DRIFT], [0])
+        assert fitness[0, 0] == 0.0
+        assert len(action) == 25
 
     def test_rollout_deterministic(self):
         env = RendezvousEnv()
-        f1, t1 = rollout_team(env, SEEK, 7)
-        f2, t2 = rollout_team(env, SEEK, 7)
-        assert f1 == f2
-        for a, b in zip(t1[0], t2[0]):
-            assert np.array_equal(a[0], b[0])
-            assert a[1] == b[1]
+        f1, t1 = rollout_team(env, [SEEK, DRIFT], [7, 8])
+        f2, t2 = rollout_team(env, [SEEK, DRIFT], [7, 8])
+        assert np.array_equal(f1, f2)
+        for a, b in zip(t1, t2):
+            assert np.array_equal(a, b)
 
 
 class TestEvolution:
@@ -325,6 +405,18 @@ class TestTrainingLoop:
             h.best_fitness for h in without.history
         ]
         assert np.array_equal(with_pg.best_genome, without.best_genome)
+
+    def test_one_rollout_per_generation(self, monkeypatch):
+        # looked up through the module, where the benchmark's tracer wraps it
+        calls = []
+
+        def spy(env, genomes, seeds):
+            calls.append(len(genomes))
+            return rollout_team(env, genomes, seeds)
+
+        monkeypatch.setattr(merl, "rollout_team", spy)
+        merl_train(MerlConfig(**self.CFG))
+        assert calls == [self.CFG["population"] + 1] * self.CFG["generations"]
 
     def test_config_validation(self):
         with pytest.raises(SpecError):
