@@ -236,13 +236,13 @@ def rollout_team(env: RendezvousEnv, genomes, seeds):
     Returns (fitness[g, s] = total team reward, transitions), transitions
     being (phi (K, n, 3), action (K, n), local reward (K, n), next phi
     (K, n, 3)) with rows in genome, then seed, then step order."""
-    g, s, horizon = len(genomes), len(seeds), env.horizon
+    g, s, n, horizon = len(genomes), len(seeds), env.num_agents, env.horizon
     pos = np.tile([env.reset(seed) for seed in seeds], (g, 1))
-    weights = np.repeat(np.asarray(genomes, dtype=float).reshape(g, -1, FEATURE_DIM, 1), s, 0)
+    weights = np.repeat(np.asarray(genomes, dtype=float).reshape(g, n, FEATURE_DIM, 1), s, 0)
     # phi[e, t] holds episode e's features before step t, phi[e, t + 1] after it
-    phi = np.empty((g * s, horizon + 1, env.num_agents, FEATURE_DIM))
+    phi = np.empty((g * s, horizon + 1, n, FEATURE_DIM))
     phi[:, 0] = _features(pos)
-    action, reward = np.empty((2, g * s, horizon, env.num_agents))
+    action, reward = np.empty((2, g * s, horizon, n))
     fitness = np.zeros(g * s)
     steps = np.zeros((g * s, horizon), dtype=bool)
     live = np.arange(g * s)
