@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -90,6 +91,9 @@ FIELD_KEYS = {"num_agents": "agents"}   # fields read under another config key
 FIELD_CASTS = {"int": int, "int | None": int, "float": float, "str": str}
 
 
+# Built on the first main call and reused by every later one; parse_args
+# leaves no state in it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gtmarl",
@@ -197,7 +201,10 @@ def _get(cfg: dict, key: str, cast, default):
 def _require_seed(cfg: dict) -> int:
     if cfg.get("seed") is None:
         raise GameFormatError("a seed is required: pass --seed or set \"seed\" in the config")
-    return _get(cfg, "seed", int, 0)
+    seed = _get(cfg, "seed", int, 0)
+    if seed < 0:
+        raise GameFormatError(f"seed must be at least 0, not {seed}")
+    return seed
 
 
 def _out_dir(cfg: dict) -> Path:

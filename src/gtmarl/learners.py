@@ -199,6 +199,8 @@ def _stage_q_loop(game, schedule, record_every, q, solve, extra=lambda cache, st
     first, or epsilon-uniform exploration does. extra(cache, step) gives the
     curve columns after the mean rewards. Returns (curve, final policy per
     state, cache)."""
+    if record_every is not None and record_every < 1:
+        raise SpecError("record_every must be at least 1")
     states = game.num_states
     rewards = game.rewards[:len(q)]
     p_cum = np.cumsum(game.transition, axis=2)
@@ -389,6 +391,8 @@ def regret_matching_play(
         raise SpecError(f"unknown regret mode {mode!r}")
     if steps < 1:
         raise SpecError("steps must be at least 1")
+    if record_every is not None and record_every < 1:
+        raise SpecError("record_every must be at least 1")
     n = game.num_agents
     regrets = [np.zeros(k if mode == EXTERNAL else (k, k)) for k in game.actions]
     strategy_of = _external_strategy if mode == EXTERNAL else _internal_strategy

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, output files, config merging, and
 byte-identical reruns."""
 
+import argparse
+import hashlib
 import json
 import re
 
@@ -11,6 +13,7 @@ from gtmarl import cli, learners
 from gtmarl.cli import main
 from gtmarl.errors import NumericalError, SpecError
 from gtmarl.games import classic_game, game_to_dict, random_game, save_game
+from test_acceptance import pinned_digests
 
 
 def run(argv):
@@ -208,6 +211,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--record-every" in err and "minimax-q, ce-q, regret" in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("method, game", [
+        ("minimax-q", "random:zs-stoch:2:2x2:0.9"),
+        ("ce-q", "random:stoch:2:2x2:0.9"),
+        ("regret", "classic:rps"),
+    ])
+    def test_record_every_below_one(self, method, game, value, tmp_path, capsys):
+        rc = run(["learn", method, "--game", game, "--steps", 10,
+                  "--record-every", value, "--seed", 1, "--out", tmp_path])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: record_every must be at least 1\n"
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "minimax", "--game", "classic:rps"],
+        ["learn", "minimax-q", "--game", "random:zs-stoch:2:2x2:0.9", "--steps", 10],
+    ])
+    def test_negative_seed(self, command, tmp_path, capsys):
+        rc = run(command + ["--seed", -1, "--out", tmp_path])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be at least 0, not -1\n"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -4}))
+        rc = run(command + ["--config", cfg, "--out", tmp_path])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be at least 0, not -4\n"
 
     def test_wrong_x0_length(self, tmp_path):
         rc = run(["learn", "replicator", "--game", "classic:rps",
@@ -419,6 +448,67 @@ class TestFlagSet:
         assert run([command, "--help"]) == 0
         found = set(re.findall(r"--([\w-]+)", capsys.readouterr().out))
         assert found == set(options.split()) | {"help"}
+
+
+class TestParserReuse:
+    """main builds its parser on its first call in a process and reuses it;
+    no option value carries over from one call to the next."""
+
+    def test_parser_built_once(self, tmp_path, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        path = tmp_path / "rps.json"
+        save_game(classic_game("rps"), path)
+        commands = [
+            ["solve", "minimax", "--game", "classic:rps", "--seed", 0],
+            ["solve", "ce", "--game", "classic:chicken", "--seed", 0],
+            ["solve", "nash-enum", "--game", "classic:chicken", "--seed", 0],
+            ["learn", "regret", "--game", "classic:rps", "--steps", 20, "--seed", 1],
+            ["learn", "fp", "--game", "classic:rps", "--steps", 20, "--seed", 1],
+            ["learn", "minimax-q", "--game", "random:zs-stoch:2:2x2:0.9", "--steps", 20,
+             "--seed", 1],
+            ["validate", path],
+            ["solve", "minimax", "--game", "classic:rps", "--seed", 1],
+            ["learn", "replicator", "--game", "classic:rps", "--steps", 20, "--seed", 1],
+            ["solve", "minimax", "--game", "classic:rps", "--seed", 2],
+        ]
+        counts = []
+        for idx, argv in enumerate(commands):
+            out = [] if argv[0] == "validate" else ["--out", tmp_path / str(idx)]
+            assert run(argv + out) == 0, argv
+            counts.append(len(built))
+        assert counts[0] > 0
+        assert counts == [counts[0]] * len(commands)
+
+    def test_oracle_flag_does_not_carry_over(self, tmp_path):
+        argv = ["learn", "minimax-q", "--game", "random:zs-stoch:2:2x2:0.9",
+                "--steps", 200, "--seed", 1]
+        assert run(argv + ["--oracle", "--out", tmp_path / "a"]) == 0
+        assert run(argv + ["--out", tmp_path / "b"]) == 0
+        assert "oracle_values" in read_json(tmp_path / "a" / "minimax_q_result.json")
+        assert "oracle_values" not in read_json(tmp_path / "b" / "minimax_q_result.json")
+        header = (tmp_path / "b" / "minimax_q_curve.csv").read_text().splitlines()[0]
+        assert header == "step,mean_reward"
+
+    def test_errors_and_help_leave_no_trace(self, tmp_path, capsys):
+        argv = ["solve", "minimax", "--game", "classic:rps", "--seed", "0"]
+        assert run(["solve", "minimax", "--no-such-flag", "--seed", 0]) == 2
+        assert run(["solve", "--help"]) == 0
+        capsys.readouterr()
+        assert run(argv + ["--out", tmp_path]) == 0
+        written = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.iterdir())
+            if not p.name.endswith("_manifest.json")
+        }
+        assert written == pinned_digests("outputs")[" ".join(argv)]
 
 
 class TestByteIdenticalReruns:
