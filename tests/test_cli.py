@@ -454,12 +454,12 @@ class TestParserReuse:
     """main builds its parser on its first call in a process and reuses it;
     no option value carries over from one call to the next."""
 
-    def test_parser_built_once(self, tmp_path, monkeypatch, capsys):
+    def test_parser_built_once(self, tmp_path, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
 
         def counting_init(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
+            built.append(self)
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
