@@ -208,11 +208,10 @@ def _require_seed(cfg: dict) -> int:
 
 
 def _out_dir(cfg: dict) -> Path:
-    """Make the output directory. It leaves cfg, so that what a run echoes of
-    its config (the manifest, MERL's config line) does not name it."""
-    path = Path(cfg.pop("out", None) or os.environ.get("GTMARL_OUT") or ".")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory, made at the first write. It leaves cfg, so that
+    what a run echoes of its config (the manifest, MERL's config line) does
+    not name it."""
+    return Path(cfg.pop("out", None) or os.environ.get("GTMARL_OUT") or ".")
 
 
 def _objective(cfg: dict, default: str = UTILITARIAN) -> str:
@@ -444,8 +443,8 @@ def _learn_ce_q(run: _Run) -> dict:
 def _learn_regret(run: _Run) -> dict:
     mode = str(run.cfg.get("mode") or EXTERNAL)
     res = regret_matching_play(run.game, run.steps, mode, run.seed, run.record_every)
-    write_csv(run.curve, ["step", "max_avg_positive_regret"], res.curve)
     report = ce_check(run.game, res.empirical, _get(run.cfg, "eps", float, 0.05))
+    write_csv(run.curve, ["step", "max_avg_positive_regret"], res.curve)
     return {
         "mode": mode,
         "empirical": res.empirical,

@@ -4,9 +4,10 @@ minimax_solve handles two-player zero-sum games through the value LP in its
 normalized form: after shifting the payoff matrix to be strictly positive,
 each player's optimal mixture is the scaled solution of a one-phase LP
 (max 1'q subject to Aq <= 1, q >= 0). Correlated equilibria come from one CE
-LP statement over a cached incentive index for all three welfare objectives;
-ce_violations reads the same index. Both LPs are stated in standard form and
-solved by linprog's simplex core directly, with solve_lp's answer bit for bit.
+LP statement over a cached incentive index for all three welfare objectives,
+each answer checked against the incentive rows built for its LP; ce_violations
+reads the same index. Both LPs are stated in standard form and solved by
+linprog's simplex core directly, with solve_lp's answer bit for bit.
 A support enumeration oracle covers small general-sum games.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import NumericalError, SpecError
 from .games import MatrixGame, MixedProfile, expected_payoff, joint_count, mixed_profile, strides
-from .linprog import EQUAL, LESS, _solve_standard
+from .linprog import EQUAL, FEAS_TOL, LESS, _solve_standard
 
 UTILITARIAN = "utilitarian_sum"
 EGALITARIAN = "egalitarian_min"
@@ -121,8 +122,8 @@ def best_response(game: MatrixGame, profile: MixedProfile, agent: int) -> tuple[
 def epsilon_nash_check(game: MatrixGame, profile: MixedProfile, eps: float) -> NashCheckReport:
     """Per-agent unilateral improvement against the profile; passes iff the
     largest gain is at most eps."""
-    if eps < 0:
-        raise SpecError("eps must be nonnegative")
+    if not 0.0 <= eps < np.inf:
+        raise SpecError(f"eps must be finite and nonnegative, not {eps}")
     current = expected_payoff(game, profile)
     gains = np.empty(game.num_agents)
     for i in range(game.num_agents):
@@ -167,7 +168,8 @@ def solve_ce_distribution(actions, payoffs_flat, objective: str) -> np.ndarray:
     One LP over the distribution: incentive rows >= 0 and total mass 1.
     Utilitarian maximizes the summed payoffs, plutocratic each agent's in
     turn (the first best wins), and egalitarian a free floor z <= u_i'lambda.
-    The rows and columns are in the order solve_lp would reduce them to."""
+    The rows and columns are in the order solve_lp would reduce them to.
+    The answer breaks no incentive row by more than FEAS_TOL, or it raises."""
     actions = tuple(int(k) for k in actions)
     count = joint_count(actions)
     if count > MAX_JOINT_ACTIONS:
@@ -197,7 +199,10 @@ def solve_ce_distribution(actions, payoffs_flat, objective: str) -> np.ndarray:
     total = lam.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise NumericalError("CE LP returned a degenerate distribution")
-    return lam / total
+    lam = lam / total
+    if (inc @ lam).min(initial=0.0) < -FEAS_TOL:
+        raise NumericalError(f"stage CE violates incentives by {-(inc @ lam).min():g}")
+    return lam
 
 
 def correlated_eq_solve(game: MatrixGame, objective: str = UTILITARIAN) -> CorrelatedPolicy:
@@ -218,8 +223,8 @@ def ce_violations(actions, payoffs_flat, lam) -> tuple[float, list]:
 
 def ce_check(game: MatrixGame, policy, eps: float) -> CeCheckReport:
     """Evaluate every correlated-equilibrium incentive constraint."""
-    if eps < 0:
-        raise SpecError("eps must be nonnegative")
+    if not 0.0 <= eps < np.inf:
+        raise SpecError(f"eps must be finite and nonnegative, not {eps}")
     lam = policy.probs if isinstance(policy, CorrelatedPolicy) else np.asarray(policy, float)
     if lam.size != game.joint_actions:
         raise SpecError("distribution length does not match the joint action count")

@@ -16,12 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import (
-    UTILITARIAN,
-    ce_violations,
-    solve_ce_distribution,
-    stage_minimax,
-)
+from .equilibrium import UTILITARIAN, solve_ce_distribution, stage_minimax
 from .errors import NumericalError, SpecError
 from .games import MatrixGame, StochasticGame, require_kind, strides
 
@@ -114,13 +109,21 @@ def _require_stochastic(game, zero_sum: bool, two_player: bool) -> None:
         raise SpecError("a zero-sum game is required")
 
 
+def _solve_stage(s: int, unit: str, count: int, solve, *args):
+    """solve(*args) for state s; a NumericalError names s and the step or sweep."""
+    try:
+        return solve(*args)
+    except NumericalError as exc:
+        raise NumericalError(f"stage solve failed at state {s}, {unit} {count}: {exc}") from exc
+
+
 class StageCache:
     """Stage-game solutions per state, solved again only after invalidate.
 
     solve(s) computes state s's solution from the learner's current Q
-    tables; the learners' solve functions look up stage_minimax,
-    solve_ce_distribution and ce_violations by module name at call time. get counts hits and
-    misses, and names the state and step in any NumericalError of a solve.
+    tables; the learners' solve functions look up stage_minimax and
+    solve_ce_distribution by module name at call time. get counts hits and
+    misses; a NumericalError of a solve names its state and step.
     """
 
     def __init__(self, states: int, solve):
@@ -135,13 +138,9 @@ class StageCache:
             self.hits += 1
             return self.entries[s]
         self.misses += 1
-        try:
-            entry = self._solve(s)
-        except NumericalError as exc:
-            raise NumericalError(f"stage solve failed at state {s}, step {step}: {exc}") from exc
-        self.entries[s] = entry
+        self.entries[s] = _solve_stage(s, "step", step, self._solve, s)
         self.valid[s] = True
-        return entry
+        return self.entries[s]
 
     def invalidate(self, s: int) -> None:
         self.valid[s] = False
@@ -172,20 +171,15 @@ def shapley_value_iteration(
     col_pol = np.zeros((states, k2))
     r1 = game.rewards[0]
     p = game.transition
-    for iteration in range(1, max_iterations + 1):
+    for sweep in range(1, max_iterations + 1):
         new = np.empty(states)
         for s in range(states):
             stage = (r1[s] + game.discount * (p[s] @ values)).reshape(k1, k2)
-            try:
-                new[s], row_pol[s], col_pol[s] = stage_minimax(stage)
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"stage solve failed at state {s}, sweep {iteration}: {exc}"
-                ) from exc
+            new[s], row_pol[s], col_pol[s] = _solve_stage(s, "sweep", sweep, stage_minimax, stage)
         delta = float(np.max(np.abs(new - values)))
         values = new
         if delta <= tol:
-            return ShapleyResult(values, row_pol, col_pol, iteration)
+            return ShapleyResult(values, row_pol, col_pol, sweep)
     raise NumericalError(f"value iteration did not reach {tol} in {max_iterations} sweeps")
 
 
@@ -317,9 +311,6 @@ def correlated_q_train(
     def solve(s: int):
         payoffs = [table[s] for table in q]
         dist = solve_ce_distribution(game.actions, payoffs, objective)
-        worst, _ = ce_violations(game.actions, payoffs, dist)
-        if worst > 1e-9:
-            raise NumericalError(f"stage CE violates incentives by {worst:g}")
         return [float(dist @ u) for u in payoffs], (np.cumsum(dist),), dist
 
     curve, final, cache = _stage_q_loop(game, schedule, record_every, q, solve)

@@ -113,28 +113,26 @@ def linear_program(
     return LinearProgram(c, a, senses, b, lo, hi)
 
 
+def _row_excess(a, senses, b, x) -> np.ndarray:
+    """How far a @ x breaks each <=, >= or == row; at most 0 where a row holds."""
+    excess = a @ x - b
+    if senses.count(LESS) < len(senses):
+        kind = np.array(senses)
+        excess[kind == GREATER] *= -1.0
+        np.abs(excess, out=excess, where=kind == EQUAL)
+    return excess
+
+
 def check_feasible(lp: LinearProgram, x, tol: float = FEAS_TOL) -> list[Violation]:
-    """Every constraint violated by strictly more than tol. Empty iff feasible."""
+    """Every constraint broken by more than tol, rows before bounds; empty iff feasible."""
     v = np.asarray(x, dtype=float)
     if v.shape != lp.objective.shape:
         raise SpecError("point dimension does not match the program")
-    out: list[Violation] = []
-    if lp.a_matrix.shape[0]:
-        resid = lp.a_matrix @ v - lp.rhs
-        for i, s in enumerate(lp.senses):
-            r = resid[i]
-            if s == LESS and r > tol:
-                out.append(Violation("row", i, float(r)))
-            elif s == GREATER and -r > tol:
-                out.append(Violation("row", i, float(-r)))
-            elif s == EQUAL and abs(r) > tol:
-                out.append(Violation("row", i, float(abs(r))))
-    for j in range(v.size):
-        if lp.lower[j] - v[j] > tol:
-            out.append(Violation("lower", j, float(lp.lower[j] - v[j])))
-        if v[j] - lp.upper[j] > tol:
-            out.append(Violation("upper", j, float(v[j] - lp.upper[j])))
-    return out
+    rows = _row_excess(lp.a_matrix, lp.senses, lp.rhs, v)
+    bounds = np.stack([lp.lower - v, v - lp.upper], axis=1)
+    return ([Violation("row", int(i), float(rows[i])) for i in np.flatnonzero(rows > tol)]
+            + [Violation(("lower", "upper")[k], int(j), float(bounds[j, k]))
+               for j, k in np.argwhere(bounds > tol)])
 
 
 def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -288,9 +286,8 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
         return LpSolution(status, None, None)
     x = lp.lower + x_std[first]
     x[free] = x_std[first[free]] - x_std[minus]
-    bad = check_feasible(lp, x, FEAS_TOL)
-    if bad:
-        worst = max(v.amount for v in bad)
+    worst = max((v.amount for v in check_feasible(lp, x)), default=0.0)
+    if worst > FEAS_TOL:
         raise NumericalError(f"simplex returned an infeasible point (off by {worst:g})")
     return LpSolution(OPTIMAL, x, float(lp.objective @ x), duals[:m] * row_signs[:m])
 
@@ -303,10 +300,7 @@ def _solve_standard(a, senses, b, c, what: str) -> tuple[np.ndarray, np.ndarray]
     status, x, duals = _simplex(a, senses, b, c)
     if status != OPTIMAL:
         raise NumericalError(f"{what} ended with status {status}")
-    resid = a @ x - b
-    if EQUAL in senses:
-        resid = np.where(np.array(senses) == EQUAL, np.abs(resid), resid)
-    worst = max(float(resid.max()), float((-x).max()))
+    worst = max(float(_row_excess(a, senses, b, x).max()), float((-x).max()))
     if worst > FEAS_TOL:
         raise NumericalError(f"simplex returned an infeasible point (off by {worst:g})")
     return x, duals

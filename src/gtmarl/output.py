@@ -29,7 +29,7 @@ def write_csv(path, header, rows, comments=()) -> None:
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(format_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def jsonable(obj):
@@ -50,9 +50,14 @@ def jsonable(obj):
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(
-        json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n"
-    )
+    _write_text(path, json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n")
+
+
+def _write_text(path, text: str) -> None:
+    """Write a file, making its directory first: a run that stops before its
+    first write leaves no directory behind."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(text)
 
 
 def file_digest(path) -> str:

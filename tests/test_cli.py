@@ -14,6 +14,7 @@ from gtmarl.cli import main
 from gtmarl.errors import NumericalError, SpecError
 from gtmarl.games import classic_game, game_to_dict, random_game, save_game
 from test_acceptance import pinned_digests
+from test_equilibrium import break_ce_incentives
 
 
 def run(argv):
@@ -104,12 +105,20 @@ class TestStageErrorContext:
                 "unbounded") in capsys.readouterr().err
 
     def test_ce_q_incentive_error_names_state_and_step(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(learners, "ce_violations", lambda *args: (0.5, []))
+        break_ce_incentives(monkeypatch)
         rc = run(["learn", "ce-q", "--game", "random:stoch:2:2x2:0.9",
                   "--steps", 20, "--seed", 1, "--out", tmp_path])
         assert rc == 4
         assert re.search(r"stage solve failed at state \d, step 1: "
                          r"stage CE violates incentives by 0\.5", capsys.readouterr().err)
+
+    def test_solve_ce_incentive_error(self, tmp_path, capsys, monkeypatch):
+        break_ce_incentives(monkeypatch)
+        out = tmp_path / "od"
+        rc = run(["solve", "ce", "--game", "classic:chicken", "--seed", 0, "--out", out])
+        assert rc == 4
+        assert capsys.readouterr().err == "error: stage CE violates incentives by 0.5\n"
+        assert not out.exists()
 
 
 # Feasible CE LPs on which the simplex fails today (exit 4). Each must pass once
@@ -237,6 +246,46 @@ class TestExitCodes:
         rc = run(command + ["--config", cfg, "--out", tmp_path])
         assert rc == 2
         assert capsys.readouterr().err == "error: seed must be at least 0, not -4\n"
+
+    @pytest.mark.parametrize("command", [
+        ["learn", "regret", "--game", "classic:rps", "--steps", 0],
+        ["learn", "regret", "--game", "classic:rps", "--steps", 10, "--record-every", 0],
+        ["learn", "ce-q", "--game", "random:stoch:2:2x2:0.9", "--steps", 10,
+         "--episode-length", 0],
+        ["learn", "merl", "--generations", 0],
+        ["solve", "minimax", "--game", "classic:rps", "--eps", -1],
+    ], ids=["regret-steps", "regret-record-every", "ce-q-episode-length", "merl-generations",
+            "minimax-eps"])
+    def test_failed_run_creates_no_out_dir(self, command, tmp_path):
+        out = tmp_path / "od" / "x"
+        assert run(command + ["--seed", 1, "--out", out]) == 3
+        assert not (tmp_path / "od").exists()
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("method, game", [
+        ("minimax", "classic:rps"),
+        ("ce", "classic:chicken"),
+        ("nash-enum", "classic:chicken"),
+    ])
+    def test_solve_eps_must_be_finite_and_nonnegative(self, method, game, eps, tmp_path,
+                                                       capsys):
+        out = tmp_path / "od"
+        rc = run(["solve", method, "--game", game, "--eps", eps, "--seed", 0, "--out", out])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: eps must be finite and nonnegative, not {float(eps)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+    def test_regret_eps_must_be_finite_and_nonnegative(self, eps, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps": eps}))  # NaN and Infinity: Python's JSON extension
+        out = tmp_path / "od"
+        rc = run(["learn", "regret", "--game", "classic:rps", "--steps", 10,
+                  "--config", cfg, "--seed", 0, "--out", out])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: eps must be finite and nonnegative, not {eps}\n"
+        assert not out.exists()
 
     def test_wrong_x0_length(self, tmp_path):
         rc = run(["learn", "replicator", "--game", "classic:rps",

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gtmarl import linprog
+from gtmarl import equilibrium, learners, linprog
 from gtmarl.equilibrium import (
+    CE_OBJECTIVES,
     EGALITARIAN,
     PLUTOCRATIC,
     UTILITARIAN,
@@ -523,6 +524,22 @@ def known_failing_ce(seed, actions, objective):
 CHICKEN = [[6.0, 2.0, 7.0, 0.0], [6.0, 7.0, 2.0, 0.0]]
 
 
+def break_ce_incentives(monkeypatch):
+    """Make the CE LP return the point mass on joint action 0, and make every
+    incentive row read -0.5 there, so the CE entry's own incentive check finds
+    a breach of 0.5."""
+    incentive_rows = equilibrium._incentive_rows
+
+    def rows_with_a_breach(actions, payoffs):
+        inc, labels = incentive_rows(actions, payoffs)
+        inc[:, 0] = -0.5
+        return inc, labels
+
+    monkeypatch.setattr(equilibrium, "_incentive_rows", rows_with_a_breach)
+    monkeypatch.setattr(equilibrium, "_solve_standard",
+                        lambda a, senses, b, c, what: (np.eye(a.shape[1])[0], None))
+
+
 class TestCeLayer:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(ce_stage_games())
@@ -566,15 +583,25 @@ class TestCeLayer:
         with pytest.raises(NumericalError, match="simplex returned an infeasible point"):
             solve_ce_distribution((2, 2), CHICKEN, UTILITARIAN)
 
+    @pytest.mark.parametrize("objective", CE_OBJECTIVES)
+    def test_incentive_check(self, monkeypatch, objective):
+        break_ce_incentives(monkeypatch)
+        with pytest.raises(NumericalError, match=r"^stage CE violates incentives by 0\.5$"):
+            solve_ce_distribution((2, 2), CHICKEN, objective)
+
 
 def test_stage_solvers_and_learners_bypass_the_general_solver(monkeypatch):
     """stage_minimax, every CE objective, minimax-Q and correlated-Q call the
-    simplex core directly, never solve_lp or check_feasible."""
+    simplex core directly, never solve_lp or check_feasible; correlated-Q
+    checks each stage CE once, inside the CE entry, never by ce_violations."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("general LP solver called on a stage LP path")
+        raise AssertionError("general LP solver or second CE check called on a stage LP path")
 
     monkeypatch.setattr(linprog, "solve_lp", forbidden)
     monkeypatch.setattr(linprog, "check_feasible", forbidden)
+    monkeypatch.setattr(equilibrium, "ce_violations", forbidden)
+    # also the name a `from .equilibrium import ce_violations` in learners would bind
+    monkeypatch.setattr(learners, "ce_violations", forbidden, raising=False)
     stage_minimax([[1.0, -1.0], [-1.0, 1.0]])
     for objective in (UTILITARIAN, EGALITARIAN, PLUTOCRATIC):
         solve_ce_distribution((2, 2), CHICKEN, objective)

@@ -10,8 +10,12 @@ from hypothesis import strategies as st
 
 from gtmarl.errors import NumericalError, SimplexIterationError, SpecError
 from gtmarl.linprog import (
+    EQUAL,
     FEAS_TOL,
+    GREATER,
+    LESS,
     LinearProgram,
+    Violation,
     check_feasible,
     linear_program,
     solve_lp,
@@ -211,6 +215,28 @@ class TestDuals:
         assert sol.row_duals == pytest.approx([-1.0], abs=1e-9)
 
 
+def reference_check_feasible(lp, x, tol):
+    """check_feasible as a Python loop over rows and variables."""
+    v = np.asarray(x, dtype=float)
+    out = []
+    if lp.a_matrix.shape[0]:
+        resid = lp.a_matrix @ v - lp.rhs
+        for i, s in enumerate(lp.senses):
+            r = resid[i]
+            if s == LESS and r > tol:
+                out.append(Violation("row", i, float(r)))
+            elif s == GREATER and -r > tol:
+                out.append(Violation("row", i, float(-r)))
+            elif s == EQUAL and abs(r) > tol:
+                out.append(Violation("row", i, float(abs(r))))
+    for j in range(v.size):
+        if lp.lower[j] - v[j] > tol:
+            out.append(Violation("lower", j, float(lp.lower[j] - v[j])))
+        if v[j] - lp.upper[j] > tol:
+            out.append(Violation("upper", j, float(v[j] - lp.upper[j])))
+    return out
+
+
 class TestValidationAndFeasibility:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(SpecError):
@@ -230,6 +256,33 @@ class TestValidationAndFeasibility:
     def test_non_finite_rejected(self):
         with pytest.raises(SpecError):
             linear_program([np.nan], [[1.0]], ["<="], [1.0])
+
+    def test_check_feasible_matches_loop_reference(self):
+        rng = np.random.default_rng(20)
+        offsets = FEAS_TOL * np.array([-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
+        seen, feasible = set(), 0
+        for _ in range(2000):
+            m, n = int(rng.integers(0, 6)), int(rng.integers(1, 6))
+            x = rng.normal(size=n)
+            a = rng.normal(size=(m, n))
+            # each rhs and bound sits within 2 FEAS_TOL of x's boundary, or far off
+            near = rng.random(size=m + 2 * n) < 0.7
+            shift = np.where(near, rng.choice(offsets, size=m + 2 * n), rng.normal(size=m + 2 * n))
+            rhs = a @ x + shift[:m]
+            lower = np.where(rng.random(n) < 0.3, -np.inf, x + shift[m:m + n])
+            upper = np.where(rng.random(n) < 0.3, np.inf, x + shift[m + n:])
+            upper = np.maximum(upper, lower)
+            senses = [str(s) for s in rng.choice((LESS, EQUAL, GREATER), size=m)]
+            lp = linear_program(np.ones(n), a, senses, rhs, lower, upper)
+            got = check_feasible(lp, x)
+            # repr tells an int from a numpy integer and compares each amount exactly
+            assert repr(got) == repr(reference_check_feasible(lp, x, FEAS_TOL))
+            seen.update((v.kind, lp.senses[v.index] if v.kind == "row" else None) for v in got)
+            feasible += not got
+        # every kind of violation occurs, and so do feasible points
+        assert seen == {("row", LESS), ("row", EQUAL), ("row", GREATER),
+                        ("lower", None), ("upper", None)}
+        assert feasible > 0
 
 
 class TestDeterminism:
