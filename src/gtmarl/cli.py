@@ -244,24 +244,22 @@ def _game_from_source(source: str, seed: int | None):
         zero_sum = kind.startswith("zs-")
         kind = kind[3:] if zero_sum else kind
         if kind == "matrix" and len(parts) == 2:
-            return random_game(seed, _parse_action_shape(parts[1]), zero_sum=zero_sum)
-        if kind == "stoch" and len(parts) == 4:
+            shape, options = parts[1], {}
+        elif kind == "stoch" and len(parts) == 4:
             try:
-                num_states = int(parts[1])
-                discount = float(parts[3])
+                shape, options = parts[2], {"num_states": int(parts[1]), "discount": float(parts[3])}
             except ValueError:
                 raise GameFormatError(f"bad random game spec {source!r}")
-            return random_game(
-                seed,
-                _parse_action_shape(parts[2]),
-                zero_sum=zero_sum,
-                num_states=num_states,
-                discount=discount,
+        else:
+            raise GameFormatError(
+                f"bad random game spec {source!r}; expected random:[zs-]matrix:AxB "
+                "or random:[zs-]stoch:S:AxB:GAMMA"
             )
-        raise GameFormatError(
-            f"bad random game spec {source!r}; expected random:[zs-]matrix:AxB "
-            "or random:[zs-]stoch:S:AxB:GAMMA"
-        )
+        actions = _parse_action_shape(shape)
+        try:
+            return random_game(seed, actions, zero_sum=zero_sum, **options)
+        except GameFormatError as exc:
+            raise GameFormatError(f"random game spec {source!r}: {exc}") from exc
     return load_game(source)
 
 

@@ -27,8 +27,8 @@ class DynamicsParams:
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and np.isfinite(self.tau)):
             raise SpecError("alpha and tau must be finite")
-        if not self.dt > 0:
-            raise SpecError(f"dt {self.dt} must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise SpecError(f"dt {self.dt} must be finite and positive")
         if self.steps < 1:
             raise SpecError(f"steps {self.steps} must be at least 1")
 

@@ -59,13 +59,20 @@ class CeCheckReport:
     violations: tuple  # (agent, recommended, alternative, violation)
 
 
-def stage_minimax(matrix) -> tuple[float, np.ndarray, np.ndarray]:
+def stage_minimax(matrix, basis=None) -> tuple[float, np.ndarray, np.ndarray]:
     """Value and maximin mixtures of a zero-sum stage game given the row
     player's payoff matrix. Used directly on Q-table slices by learners.
 
     With the matrix shifted strictly positive, max 1'q s.t. (A + k)q <= 1
     yields the column mixture as q scaled and the row mixture as the scaled
     dual multipliers; the shifted value is 1 / sum(q).
+
+    basis, when given, is an int array with one entry per row: the value
+    LP's basis to try first (column j of the matrix is j, the slack of row i
+    is columns + i). The call leaves in it the basis its answer came from,
+    so a learner that keeps one per state re-solves a slightly changed stage
+    game with no pivot whenever the old basis is still optimal. Without it
+    the solve starts cold from the slack basis.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.size == 0:
@@ -73,7 +80,7 @@ def stage_minimax(matrix) -> tuple[float, np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(a)):
         raise SpecError("stage payoff matrix has non-finite entries")
     shift = 1.0 - a.min()
-    q, row_duals = _solve_standard(a + shift, (LESS,) * a.shape[0], 1.0, 1.0, "value LP")
+    q, row_duals = _solve_standard(a + shift, (LESS,) * a.shape[0], 1.0, 1.0, "value LP", basis)
     duals = np.where(row_duals > 0.0, row_duals, 0.0)  # clip -1e-11 drift
     total = float(q.sum())
     dual_total = float(duals.sum())

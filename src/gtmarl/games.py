@@ -19,6 +19,7 @@ from .errors import GameFormatError, InconsistentObservationError, SpecError
 
 PROB_TOL = 1e-12
 ZERO_SUM_TOL = 1e-12
+MAX_RANDOM_ENTRIES = 10**7  # payoff and transition entries one random_game may draw
 
 
 def _frozen(arr, dtype=float) -> np.ndarray:
@@ -353,23 +354,27 @@ def random_game(
     discount: float = 0.9,
 ):
     """Seeded random game. Payoffs are uniform on [-1, 1]; transition rows
-    are normalized uniform draws. zero_sum requires exactly two agents."""
+    are normalized uniform draws. zero_sum requires exactly two agents. A
+    game that would draw more than MAX_RANDOM_ENTRIES numbers is refused
+    before any draw."""
     actions = tuple(int(k) for k in actions)
     if zero_sum and len(actions) != 2:
         raise GameFormatError("zero_sum games need exactly two agents")
     _raise_first(_game_violations(actions, states=num_states))
-    rng = np.random.default_rng(seed)
     count = joint_count(actions)
+    n = len(actions)
+    drawn = n * count if num_states is None else (n + num_states) * num_states * count
+    if drawn > MAX_RANDOM_ENTRIES:
+        raise GameFormatError(f"{drawn} entries to draw exceed the cap {MAX_RANDOM_ENTRIES}")
+    rng = np.random.default_rng(seed)
     if num_states is None:
-        payoffs = [rng.uniform(-1.0, 1.0, size=count) for _ in range(len(actions))]
+        payoffs = [rng.uniform(-1.0, 1.0, size=count) for _ in range(n)]
         if zero_sum:
             payoffs[1] = -payoffs[0]
         return build_matrix_game(actions, payoffs)
     raw = rng.uniform(0.0, 1.0, size=(num_states, count, num_states))
     transition = raw / raw.sum(axis=2, keepdims=True)
-    rewards = [
-        rng.uniform(-1.0, 1.0, size=(num_states, count)) for _ in range(len(actions))
-    ]
+    rewards = [rng.uniform(-1.0, 1.0, size=(num_states, count)) for _ in range(n)]
     if zero_sum:
         rewards[1] = -rewards[0]
     return make_stochastic_game(actions, transition, rewards, discount)

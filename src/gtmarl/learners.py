@@ -146,6 +146,13 @@ class StageCache:
         self.valid[s] = False
 
 
+def _slack_bases(game: StochasticGame) -> np.ndarray:
+    """One stage_minimax start basis per state, each the slack basis; each
+    stage solve leaves its state's optimal basis in its row for the next."""
+    k1, k2 = game.actions
+    return np.tile(np.arange(k2, k2 + k1), (game.num_states, 1))
+
+
 # --- exact zero-sum solver (oracle for minimax-Q) --------------------------
 
 @dataclass(frozen=True)
@@ -160,7 +167,8 @@ def shapley_value_iteration(
     game: StochasticGame, tol: float = 1e-10, max_iterations: int = 200000
 ) -> ShapleyResult:
     """Value iteration with a minimax stage solve per state; converges
-    gamma-linearly to the exact discounted value of the zero-sum game."""
+    gamma-linearly to the exact discounted value of the zero-sum game. Each
+    state's solve starts from the basis of its solve in the last sweep."""
     _require_stochastic(game, zero_sum=True, two_player=True)
     if tol <= 0:
         raise SpecError("tol must be positive")
@@ -171,11 +179,13 @@ def shapley_value_iteration(
     col_pol = np.zeros((states, k2))
     r1 = game.rewards[0]
     p = game.transition
+    bases = _slack_bases(game)
     for sweep in range(1, max_iterations + 1):
         new = np.empty(states)
         for s in range(states):
             stage = (r1[s] + game.discount * (p[s] @ values)).reshape(k1, k2)
-            new[s], row_pol[s], col_pol[s] = _solve_stage(s, "sweep", sweep, stage_minimax, stage)
+            new[s], row_pol[s], col_pol[s] = _solve_stage(
+                s, "sweep", sweep, stage_minimax, stage, bases[s])
         delta = float(np.max(np.abs(new - values)))
         values = new
         if delta <= tol:
@@ -258,12 +268,14 @@ def minimax_q_train(
     oracle_values: np.ndarray | None = None,
 ) -> MinimaxQResult:
     """Asymmetric minimax-Q: one table for agent 1, both agents play the
-    stage solution of the current Q with epsilon-uniform exploration."""
+    stage solution of the current Q with epsilon-uniform exploration. Each
+    state's stage solve starts from the basis of its last one."""
     _require_stochastic(game, zero_sum=True, two_player=True)
     q = np.zeros((game.num_states, game.joint_actions))
+    bases = _slack_bases(game)
 
     def solve(s: int):
-        v, x, y = stage_minimax(q[s].reshape(game.actions))
+        v, x, y = stage_minimax(q[s].reshape(game.actions), bases[s])
         return (v,), (np.cumsum(x), np.cumsum(y)), (v, x, y)
 
     def sup_error(cache: StageCache, step: int):

@@ -182,9 +182,11 @@ def _simplex(a, senses, b, c, max_iterations: int | None = None) -> tuple:
     The tableau is [a | slack/surplus | artificial | b], with one slack column
     per <= and >= row and one artificial per == and >= row, each in row
     order. Phase 1 runs only when there are artificials. Returns the status,
-    x, and one multiplier per row, read off the final objective row: z_j - c_j
+    x, one multiplier per row, read off the final objective row: z_j - c_j
     at the row's slack (<=), surplus (>=, negated) or artificial (==), or None
-    for both unless optimal. A scalar b or c stands for a constant vector."""
+    for both unless optimal, and the basis the pivots ended on (the tableau
+    column of each row's basic variable). A scalar b or c stands for a
+    constant vector."""
     nrows, ns = a.shape
     first_art = ns + nrows - senses.count(EQUAL)
     ncols = first_art + nrows - senses.count(LESS)
@@ -216,7 +218,7 @@ def _simplex(a, senses, b, c, max_iterations: int | None = None) -> tuple:
         if _run_phase(tab, basis, p1, nrows, allowed, budget) != OPTIMAL:
             raise NumericalError("phase 1 cannot be unbounded")
         if tab[p1, -1] < -FEAS_TOL:
-            return INFEASIBLE, None, None
+            return INFEASIBLE, None, None, basis
         # drive leftover artificials out of the basis where possible
         for i in range(nrows):
             if basis[i] >= first_art:
@@ -233,14 +235,14 @@ def _simplex(a, senses, b, c, max_iterations: int | None = None) -> tuple:
                 tab[p2] -= coef * tab[i]
     status = _run_phase(tab, basis, p2, nrows, allowed, budget)
     if status != OPTIMAL:
-        return status, None, None
+        return status, None, None, basis
     x = np.zeros(ncols)
     x[basis] = tab[:nrows, -1]
     duals = tab[p2, own]
     if GREATER in senses:
         surplus = [i for i, s in enumerate(senses) if s == GREATER]
         duals[surplus] = -duals[surplus]
-    return OPTIMAL, x[:ns], duals
+    return OPTIMAL, x[:ns], duals, basis
 
 
 def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
@@ -281,7 +283,7 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
     a[row_signs < 0.0] *= -1.0
     b[b < 0.0] *= -1.0  # a zero rhs keeps its sign
 
-    status, x_std, duals = _simplex(a, senses, b, c, max_iterations)
+    status, x_std, duals, _ = _simplex(a, senses, b, c, max_iterations)
     if status != OPTIMAL:
         return LpSolution(status, None, None)
     x = lp.lower + x_std[first]
@@ -292,14 +294,60 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
     return LpSolution(OPTIMAL, x, float(lp.objective @ x), duals[:m] * row_signs[:m])
 
 
-def _solve_standard(a, senses, b, c, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _basis_solution(a, b, c, basis) -> tuple[np.ndarray, np.ndarray] | None:
+    """x and the row multipliers of max c @ x s.t. a @ x <= b, x >= 0 at a
+    given basis, or None unless that basis is optimal.
+
+    Columns are numbered as in _simplex's tableau, the slack of row i at
+    a.shape[1] + i. The basis matrix is built from the original columns and
+    inverted once, so x_B = B^-1 b and the multipliers y = c_B B^-1 carry no
+    pivoting history. The basis is optimal when x_B >= 0 and every reduced
+    cost (y @ a - c, and y itself at the slacks) is at least -PIVOT_TOL, the
+    test that ends _run_phase; a singular basis matrix is not optimal. A
+    scalar b or c stands for a constant vector."""
+    m, n = a.shape
+    columns = np.concatenate((a, np.eye(m)), axis=1)
+    costs = np.zeros(n + m)
+    costs[:n] = c
+    factor = columns[:, basis]
+    try:
+        inverse = np.linalg.inv(factor)
+    except np.linalg.LinAlgError:
+        return None
+    # one refinement step each keeps the residuals near rounding level even
+    # when B is ill-conditioned (nearly equal columns of a near-constant game)
+    rhs, c_basic = np.full(m, b), costs[basis]
+    x_basic = inverse @ rhs
+    x_basic += inverse @ (rhs - factor @ x_basic)
+    duals = c_basic @ inverse
+    duals += (c_basic - duals @ factor) @ inverse
+    x = np.zeros(n + m)
+    x[basis] = x_basic
+    if x.min() < 0.0 or (duals @ columns - costs).min() < -PIVOT_TOL:
+        return None
+    return x[:n], duals
+
+
+def _solve_standard(a, senses, b, c, what: str, basis=None) -> tuple[np.ndarray, np.ndarray]:
     """_simplex on a program stated directly in standard form with <= and ==
     rows only, as the stage value LP and the CE LP are. Raises unless the
     solve ends optimal at a point within FEAS_TOL of every row and of x >= 0;
-    returns x and the row multipliers."""
-    status, x, duals = _simplex(a, senses, b, c)
-    if status != OPTIMAL:
-        raise NumericalError(f"{what} ended with status {status}")
+    returns x and the row multipliers.
+
+    basis, for a program with <= rows only, is a start basis in
+    _basis_solution's numbering: when it is optimal for this program the
+    answer is read from it with no pivot; otherwise _simplex solves from the
+    slack basis. Either way basis is then overwritten with the basis the
+    answer came from, so a caller can pass it again to the next program."""
+    found = None if basis is None else _basis_solution(a, b, c, basis)
+    if found is not None:
+        x, duals = found
+    else:
+        status, x, duals, final = _simplex(a, senses, b, c)
+        if status != OPTIMAL:
+            raise NumericalError(f"{what} ended with status {status}")
+        if basis is not None:
+            basis[:] = final
     worst = max(float(_row_excess(a, senses, b, x).max()), float((-x).max()))
     if worst > FEAS_TOL:
         raise NumericalError(f"simplex returned an infeasible point (off by {worst:g})")

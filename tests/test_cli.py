@@ -5,6 +5,7 @@ import argparse
 import hashlib
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from gtmarl import cli, learners
 from gtmarl.cli import main
 from gtmarl.errors import NumericalError, SpecError
-from gtmarl.games import classic_game, game_to_dict, random_game, save_game
+from gtmarl.games import MAX_RANDOM_ENTRIES, classic_game, game_to_dict, random_game, save_game
 from test_acceptance import pinned_digests
 from test_equilibrium import break_ce_incentives
 
@@ -285,6 +286,34 @@ class TestExitCodes:
                   "--config", cfg, "--seed", 0, "--out", out])
         assert rc == 3
         assert capsys.readouterr().err == f"error: eps must be finite and nonnegative, not {eps}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt", ["inf", "-inf", "nan"])
+    def test_dt_must_be_finite_and_positive(self, dt, tmp_path, capsys):
+        out = tmp_path / "od"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            rc = run(["learn", "replicator", "--game", "classic:rps", f"--dt={dt}",
+                      "--steps", 10, "--seed", 1, "--out", out])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: dt {float(dt)} must be finite and positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, drawn", [
+        ("random:matrix:100000x100000", 2 * 10**10),
+        ("random:zs-stoch:100:100x100:0.9", 102 * 100 * 10**4),
+    ])
+    def test_random_spec_over_the_draw_cap(self, spec, drawn, monkeypatch, tmp_path, capsys):
+        def no_draws(*args, **kwargs):
+            pytest.fail("random_game reached its generator before bounding the game's size")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        out = tmp_path / "od"
+        rc = run(["learn", "fp", "--game", spec, "--steps", 10, "--seed", 1, "--out", out])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: random game spec {spec!r}: {drawn} entries to draw exceed the cap "
+            f"{MAX_RANDOM_ENTRIES}\n")
         assert not out.exists()
 
     def test_wrong_x0_length(self, tmp_path):

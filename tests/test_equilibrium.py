@@ -249,6 +249,169 @@ class TestStageKernel:
             stage_minimax([[1.0, 0.0], [0.0, 1.0]])
 
 
+def slack_basis(matrix) -> np.ndarray:
+    k1, k2 = np.shape(matrix)
+    return np.arange(k2, k2 + k1)
+
+
+def basis_check(matrix, basis):
+    """The value LP of matrix at basis, by LU solves and an SVD rank test
+    independent of linprog: None for a singular basis matrix, else x_B and
+    the reduced costs of every column (slacks last)."""
+    a = np.asarray(matrix, dtype=float)
+    k1, k2 = a.shape
+    columns = np.hstack([a + (1.0 - a.min()), np.eye(k1)])
+    costs = np.append(np.ones(k2), np.zeros(k1))
+    factor = columns[:, basis]
+    if np.linalg.matrix_rank(factor) < k1:
+        return None
+    x_basic = np.linalg.solve(factor, np.ones(k1))
+    duals = np.linalg.solve(factor.T, costs[basis])
+    return x_basic, duals @ columns - costs
+
+
+@st.composite
+def stage_sequences(draw):
+    """A stage matrix, 1x1 to 8x8, and one to six successors. Each successor
+    moves one entry part of the way to a target (as a Q update does), nudges
+    every entry, repeats the matrix, or draws an unrelated one (whose start
+    basis is then stale). Entries are real, small integers (ties, degenerate
+    vertices), one constant, or 1e-6-scale."""
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    kind = draw(st.sampled_from(("real", "integer", "constant", "tiny")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = {"real": 100.0, "integer": 2.0, "constant": 5.0, "tiny": 1e-6}[kind]
+
+    def fresh():
+        if kind == "integer":
+            return rng.integers(-2, 3, size=shape).astype(float)
+        if kind == "constant":
+            return np.full(shape, float(rng.integers(-5, 6)))
+        return scale * rng.uniform(-1.0, 1.0, size=shape)
+
+    matrices = [fresh()]
+    for move in draw(st.lists(st.sampled_from(("entry", "nudge", "same", "fresh")),
+                              min_size=1, max_size=6)):
+        a = matrices[-1].copy()
+        if move == "entry":
+            i, j = rng.integers(shape[0]), rng.integers(shape[1])
+            target = rng.integers(-2, 3) if kind == "integer" else scale * rng.uniform(-1, 1)
+            a[i, j] += (1.0 if kind == "integer" else rng.choice((0.5, 0.1, 1e-3))) * (
+                target - a[i, j])
+        elif move == "nudge":
+            a += scale * 1e-4 * rng.standard_normal(shape)
+        elif move == "fresh":
+            a = fresh()
+        matrices.append(a)
+    return matrices
+
+
+class TestWarmStart:
+    """stage_minimax(matrix, basis): the answer read from a still-optimal
+    basis agrees with the cold solve, and any other basis falls back to it."""
+
+    @staticmethod
+    def cold_with_basis(a):
+        """The cold solve's outcome and the basis it ended on; the slack
+        basis is never optimal (every structural reduced cost is -1), so
+        passing it runs the cold path."""
+        basis = slack_basis(a)
+        got = outcome(lambda m: stage_minimax(m, basis), a)
+        assert got == outcome(stage_minimax, a)
+        return got, basis
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(stage_sequences())
+    def test_carried_basis_agrees_with_cold_solve(self, matrices):
+        basis = slack_basis(matrices[0])
+        for a in matrices:
+            start = basis.copy()
+            warm = outcome(lambda m: stage_minimax(m, basis), a)
+            cold, cold_basis = self.cold_with_basis(a)
+            check = basis_check(a, start)
+            stale = check is None or check[0].min() < -1e-6 or check[1].min() < -1e-6
+            if stale or cold[0] == "error":
+                # a basis that is not optimal, and any matrix the cold solve
+                # fails on, must give exactly the cold outcome
+                if stale:
+                    assert warm == cold
+                    assert np.array_equal(basis, cold_basis)
+                continue
+            assert warm[0] == "ok"
+            scale = 1.0 + np.abs(a).max()
+            value, x, y = (np.frombuffer(part)[0] if i == 0 else np.frombuffer(part)
+                           for i, part in enumerate(warm[1:]))
+            cold_value = np.frombuffer(cold[1])[0]
+            assert abs(value - cold_value) <= 1e-12 * scale
+            tol = linprog.FEAS_TOL * scale
+            assert x.min() >= 0.0 and y.min() >= 0.0
+            assert abs(x.sum() - 1.0) <= 1e-12 and abs(y.sum() - 1.0) <= 1e-12
+            assert np.all(x @ a >= value - tol) and np.all(a @ y <= value + tol)
+            x_basic, reduced = basis_check(a, cold_basis)
+            nonbasic = np.delete(reduced, cold_basis)
+            if x_basic.min() > 1e-7 and nonbasic.min(initial=np.inf) > 1e-7:
+                # a nondegenerate optimal basis on both sides: the optimum is unique
+                assert np.allclose(x, np.frombuffer(cold[2]), rtol=0.0, atol=1e-9)
+                assert np.allclose(y, np.frombuffer(cold[3]), rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("matrix, basis", [
+        # infeasible: column 0 alone would need q0 = 1/4, breaking row 1 (4 > 1)
+        ([[4.0, 0.0], [0.0, 4.0]], [2, 0]),
+        # not optimal: the slack basis of any matrix
+        ([[3.0, 0.0], [1.0, 2.0]], [2, 3]),
+        # singular: columns 0 and 1 are equal
+        ([[1.0, 1.0, 0.0], [2.0, 2.0, 3.0]], [0, 1]),
+        ([[2.0, 2.0], [2.0, 2.0]], [0, 1]),
+    ], ids=["infeasible", "not-optimal", "duplicate-columns", "constant"])
+    def test_stale_basis_falls_back_to_cold_solve(self, matrix, basis):
+        start = np.array(basis)
+        check = basis_check(matrix, start)
+        assert check is None or check[0].min() < 0.0 or check[1].min() < 0.0
+        cold, cold_basis = self.cold_with_basis(matrix)
+        assert outcome(lambda m: stage_minimax(m, start), matrix) == cold
+        assert np.array_equal(start, cold_basis)
+
+    def test_optimal_basis_needs_no_pivot(self, monkeypatch):
+        a = np.array([[3.0, 0.0], [1.0, 2.0]])
+        _, basis = self.cold_with_basis(a)
+        monkeypatch.setattr(linprog, "_simplex", forbidden_simplex)
+        value, x, y = stage_minimax(a + 1e-3, basis)
+        assert value == pytest.approx(1.5 + 1e-3, abs=1e-12)
+        assert x == pytest.approx([0.25, 0.75], abs=1e-12)
+        assert y == pytest.approx([0.5, 0.5], abs=1e-12)
+
+    def test_corrupted_warm_answer_fails_the_feasibility_check(self, monkeypatch):
+        def corrupt(a, b, c, basis):
+            return np.full(a.shape[1], 5.0), np.ones(a.shape[0])  # q = 5 breaks every row
+
+        monkeypatch.setattr(linprog, "_basis_solution", corrupt)
+        with pytest.raises(NumericalError, match="simplex returned an infeasible point"):
+            stage_minimax([[1.0, 0.0], [0.0, 1.0]], np.array([0, 1]))
+
+    def test_learners_pivot_on_few_stage_solves(self, monkeypatch):
+        """Carried bases leave the simplex to at most 5% of the stage solves
+        of minimax-Q and of Shapley's value iteration."""
+        pivoted = [0]
+        simplex = linprog._simplex
+
+        def counted(*args, **kwargs):
+            pivoted[0] += 1
+            return simplex(*args, **kwargs)
+
+        monkeypatch.setattr(linprog, "_simplex", counted)
+        game = random_game(3, (2, 2), zero_sum=True, num_states=3, discount=0.9)
+        res = minimax_q_train(game, LearningSchedule(max_steps=2000, seed=1))
+        assert res.stage_misses >= 2000
+        assert pivoted[0] <= 0.05 * res.stage_misses
+        pivoted[0] = 0
+        oracle = learners.shapley_value_iteration(game)
+        assert pivoted[0] <= 0.05 * oracle.iterations * game.num_states
+
+
+def forbidden_simplex(*args, **kwargs):
+    raise AssertionError("the simplex ran although the start basis was optimal")
+
+
 # --- Nash ----------------------------------------------------------------------
 
 class TestSupportEnumeration:
