@@ -69,10 +69,10 @@ def stage_minimax(matrix, basis=None) -> tuple[float, np.ndarray, np.ndarray]:
 
     basis, when given, is an int array with one entry per row: the value
     LP's basis to try first (column j of the matrix is j, the slack of row i
-    is columns + i). The call leaves in it the basis its answer came from,
-    so a learner that keeps one per state re-solves a slightly changed stage
-    game with no pivot whenever the old basis is still optimal. Without it
-    the solve starts cold from the slack basis.
+    is columns + i), left holding the basis the answer came from. Learners
+    pass each state's own, so a slightly changed stage game is re-solved
+    with no pivot while its old basis stays optimal; without one the solve
+    starts cold from the slack basis.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.size == 0:

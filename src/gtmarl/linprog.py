@@ -13,6 +13,13 @@ every stage LP (the minimax value LP and the CE LP) is stated in standard form
 by its caller and solved by the core through _solve_standard.
 Bland's rule (lowest eligible index for both the entering and the leaving
 variable) makes the pivot sequence deterministic and cycle-free.
+
+A solve starts from a given basis only when its caller passes one to
+_solve_standard, for a program with <= rows only: stage_minimax does so for
+the learners, which keep each state's last optimal basis. If that basis is
+still optimal, _basis_solution reads the answer from it with no pivot; any
+other basis, and every call without one (solve_lp, the CE LP, a one-shot
+stage_minimax), runs the core from the slack basis.
 """
 
 from __future__ import annotations
@@ -334,11 +341,9 @@ def _solve_standard(a, senses, b, c, what: str, basis=None) -> tuple[np.ndarray,
     solve ends optimal at a point within FEAS_TOL of every row and of x >= 0;
     returns x and the row multipliers.
 
-    basis, for a program with <= rows only, is a start basis in
-    _basis_solution's numbering: when it is optimal for this program the
-    answer is read from it with no pivot; otherwise _simplex solves from the
-    slack basis. Either way basis is then overwritten with the basis the
-    answer came from, so a caller can pass it again to the next program."""
+    basis (<= rows only) is tried first by _basis_solution, and _simplex
+    runs only if it is not optimal; it is left holding the basis the answer
+    came from."""
     found = None if basis is None else _basis_solution(a, b, c, basis)
     if found is not None:
         x, duals = found

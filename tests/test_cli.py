@@ -10,10 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
-from gtmarl import cli, learners
+from gtmarl import cli, games, learners
 from gtmarl.cli import main
 from gtmarl.errors import NumericalError, SpecError
-from gtmarl.games import MAX_RANDOM_ENTRIES, classic_game, game_to_dict, random_game, save_game
+from gtmarl.games import classic_game, game_to_dict, random_game, save_game
 from test_acceptance import pinned_digests
 from test_equilibrium import break_ce_incentives
 
@@ -313,7 +313,7 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: random game spec {spec!r}: {drawn} entries to draw exceed the cap "
-            f"{MAX_RANDOM_ENTRIES}\n")
+            f"{games.MAX_RANDOM_ENTRIES}\n")
         assert not out.exists()
 
     def test_wrong_x0_length(self, tmp_path):

@@ -339,10 +339,8 @@ class TestWarmStart:
                 continue
             assert warm[0] == "ok"
             scale = 1.0 + np.abs(a).max()
-            value, x, y = (np.frombuffer(part)[0] if i == 0 else np.frombuffer(part)
-                           for i, part in enumerate(warm[1:]))
-            cold_value = np.frombuffer(cold[1])[0]
-            assert abs(value - cold_value) <= 1e-12 * scale
+            value, x, y = np.frombuffer(warm[1])[0], np.frombuffer(warm[2]), np.frombuffer(warm[3])
+            assert abs(value - np.frombuffer(cold[1])[0]) <= 1e-12 * scale
             tol = linprog.FEAS_TOL * scale
             assert x.min() >= 0.0 and y.min() >= 0.0
             assert abs(x.sum() - 1.0) <= 1e-12 and abs(y.sum() - 1.0) <= 1e-12
@@ -355,7 +353,7 @@ class TestWarmStart:
                 assert np.allclose(y, np.frombuffer(cold[3]), rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("matrix, basis", [
-        # infeasible: column 0 alone would need q0 = 1/4, breaking row 1 (4 > 1)
+        # infeasible: shifted to [[5, 1], [1, 5]], row 1 tight at q0 = 1 breaks row 0
         ([[4.0, 0.0], [0.0, 4.0]], [2, 0]),
         # not optimal: the slack basis of any matrix
         ([[3.0, 0.0], [1.0, 2.0]], [2, 3]),
@@ -374,6 +372,10 @@ class TestWarmStart:
     def test_optimal_basis_needs_no_pivot(self, monkeypatch):
         a = np.array([[3.0, 0.0], [1.0, 2.0]])
         _, basis = self.cold_with_basis(a)
+
+        def forbidden_simplex(*args, **kwargs):
+            raise AssertionError("the simplex ran although the start basis was optimal")
+
         monkeypatch.setattr(linprog, "_simplex", forbidden_simplex)
         value, x, y = stage_minimax(a + 1e-3, basis)
         assert value == pytest.approx(1.5 + 1e-3, abs=1e-12)
@@ -406,10 +408,6 @@ class TestWarmStart:
         pivoted[0] = 0
         oracle = learners.shapley_value_iteration(game)
         assert pivoted[0] <= 0.05 * oracle.iterations * game.num_states
-
-
-def forbidden_simplex(*args, **kwargs):
-    raise AssertionError("the simplex ran although the start basis was optimal")
 
 
 # --- Nash ----------------------------------------------------------------------
