@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import NumericalError
+
 
 def format_float(value) -> str:
     """Shortest representation that still round-trips a double (17 sig digits)."""
@@ -50,7 +52,13 @@ def jsonable(obj):
 
 
 def write_json(path, obj) -> None:
-    _write_text(path, json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n")
+    """Canonical JSON. A NaN or an infinity has no JSON form, so it raises
+    NumericalError, naming the file, before any byte is written."""
+    try:
+        text = json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"refusing to write {path}: {exc}") from exc
+    _write_text(path, text + "\n")
 
 
 def _write_text(path, text: str) -> None:

@@ -9,12 +9,14 @@ outcome transition matrix and p0 the opening outcome distribution,
     V_i = p0' (I - gamma M)^{-1} r_i
 
 as a raw discounted sum. Gradients are exact via forward sensitivities of
-the linear solve; the LOLA cross term is differentiated by central finite
-differences over the exact first-order gradients.
+the linear solve. The LOLA cross term is differentiated exactly too: each
+logit moves p0 or one row of M by a rank-one change, so both value Hessians
+follow in closed form from one inverse of I - gamma M.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +27,17 @@ from .output import write_csv
 
 THETA_DIM = 5
 LOGIT_LIMIT = 50.0
-FD_STEP = 1e-6
 LOLA = "lola"
 NAIVE = "naive"
+
+# The ten logits (theta1, theta2) of _value_hessians: an opening logit moves
+# p0, logit s + 1 moves row s of M. d(outcome row)/d(own cooperation prob)
+# is _DIR_BASE + (the other player's cooperation prob) * _JOINT_DIR, which is
+# also d^2(outcome row)/dc1 dc2.
+_OPENING = [0, THETA_DIM]
+_ROW_SELECT = np.hstack([np.zeros((4, 1)), np.eye(4)] * 2)
+_DIR_BASE = np.repeat([[0.0, 1.0, 0.0, -1.0], [0.0, 0.0, 1.0, -1.0]], THETA_DIM, axis=0)
+_JOINT_DIR = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -50,14 +60,16 @@ class LolaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha) or self.alpha <= 0:
-            raise SpecError("alpha must be positive")
-        if not np.isfinite(self.beta) or self.beta < 0:
-            raise SpecError("beta must be nonnegative")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise SpecError(f"alpha {self.alpha} must be finite and positive")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise SpecError(f"beta {self.beta} must be finite and nonnegative")
         if not 0.0 < self.gamma < 1.0:
             raise SpecError(f"gamma {self.gamma} outside (0, 1)")
-        if self.steps < 0:
-            raise SpecError("steps must be nonnegative")
+        for name in ("steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+                raise SpecError(f"{name} {value!r} must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -87,27 +99,18 @@ def iterated_game(stage: MatrixGame, gamma: float) -> IteratedGame:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def _outcome_chain(theta1: np.ndarray, theta2: np.ndarray):
     """Opening distribution and transition matrix over the four outcomes."""
     p1 = _sigmoid(theta1)
     p2 = _sigmoid(theta2)
-
-    def outcome_row(c1: float, c2: float) -> np.ndarray:
-        return np.array(
-            [c1 * c2, c1 * (1.0 - c2), (1.0 - c1) * c2, (1.0 - c1) * (1.0 - c2)]
-        )
-
-    p0 = outcome_row(p1[0], p2[0])
-    m = np.stack([outcome_row(p1[s + 1], p2[s + 1]) for s in range(4)])
-    return p0, m, p1, p2
+    # row j is (c1 c2, c1 (1 - c2), (1 - c1) c2, (1 - c1)(1 - c2)) at index j
+    rows = (np.array([p1, 1.0 - p1]).T[:, :, None] * np.array([p2, 1.0 - p2]).T[:, None, :])
+    rows = rows.reshape(THETA_DIM, 4)
+    return rows[0], rows[1:], p1, p2
 
 
 def _solve_outcome(k: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -181,39 +184,56 @@ def value_gradients(game: IteratedGame, p1: Memory1Policy, p2: Memory1Policy):
     return grads[0, 0], grads[0, 1], grads[1, 0], grads[1, 1]
 
 
-def _first_order(game, p1, p2):
-    g11, _, _, g22 = value_gradients(game, p1, p2)
-    return g11, g22
+def _value_hessians(game: IteratedGame, theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
+    """Exact Hessians of (V1, V2) over the ten logits (theta1, theta2),
+    shape (2, 10, 10).
+
+    Logit x moves one outcome row, p0 or row s of M, along
+    q_x = sigma'(theta_x) d(row)/d(own prob), so dV_i/dx = omega_x (q_x . z_i)
+    with omega_x = 1 for an opening logit and gamma w[s] for a row logit.
+    Differentiating that product once more:
+    - omega_y moves with dw/dx = omega_x K^{-T} q_x, and z_i moves by the
+      same rank-one change, which gives the transpose of that part;
+    - q_y moves with its own logit (sigma'') and with the other player's
+      logit at the same index (the c1 c2 cross term of the outcome row).
+    """
+    p0, m, prob1, prob2 = _outcome_chain(theta1, theta2)
+    gamma = game.gamma
+    # K^{-1} e_s in the column of each row logit, 0 in an opening logit's
+    k_inv = _solve_outcome(np.eye(4) - gamma * m, _ROW_SELECT)
+    z = k_inv[:, 1:THETA_DIM] @ np.array(_stage_vectors(game)).T
+    weight = gamma * (p0 @ k_inv)
+    weight[_OPENING] = 1.0
+    probs = np.concatenate([prob1, prob2])
+    dirs = _DIR_BASE + np.concatenate([prob2, prob1])[:, None] * _JOINT_DIR
+    slope = probs * (1.0 - probs)
+    q = slope[:, None] * dirs
+    part = (gamma * weight[:, None] * (q @ k_inv)) * (q @ z).T[:, None, :]
+    hess = part + part.transpose(0, 2, 1)
+    n = 2 * THETA_DIM
+    flat = hess.reshape(2, n * n)  # entry (x, y) at x * n + y
+    flat[:, ::n + 1] += (weight * slope * (1.0 - 2.0 * probs)) * (dirs @ z).T
+    cross = (_JOINT_DIR @ z)[:, None] * (weight * slope)[:THETA_DIM] * slope[THETA_DIM:]
+    flat[:, THETA_DIM:n * THETA_DIM:n + 1] += cross  # (j, 5 + j)
+    flat[:, n * THETA_DIM::n + 1] += cross  # (5 + j, j)
+    return hess
 
 
 def lola_step(
     game: IteratedGame, p1: Memory1Policy, p2: Memory1Policy, config: LolaConfig
 ) -> tuple[Memory1Policy, Memory1Policy]:
     """Simultaneous update: gradient ascent plus beta times the gradient of
-    the inner product of the two agents' first-order gradients. beta = 0
-    follows exactly the naive arithmetic."""
-    g11, g22 = _first_order(game, p1, p2)
+    the inner product of the two agents' first-order gradients, taken over
+    both agents' logits from the exact value Hessians. beta = 0 follows
+    exactly the naive arithmetic."""
+    g11, _, _, g22 = value_gradients(game, p1, p2)
     new1 = p1.theta + config.alpha * g11
     new2 = p2.theta + config.alpha * g22
     if config.beta != 0.0:
-
-        def cross(theta1: np.ndarray, theta2: np.ndarray) -> float:
-            a, b = _first_order(game, Memory1Policy(theta1), Memory1Policy(theta2))
-            return float(a @ b)
-
-        shape1 = np.empty(THETA_DIM)
-        shape2 = np.empty(THETA_DIM)
-        for idx in range(THETA_DIM):
-            bump = np.zeros(THETA_DIM)
-            bump[idx] = FD_STEP
-            shape1[idx] = (
-                cross(p1.theta + bump, p2.theta) - cross(p1.theta - bump, p2.theta)
-            ) / (2.0 * FD_STEP)
-            shape2[idx] = (
-                cross(p1.theta, p2.theta + bump) - cross(p1.theta, p2.theta - bump)
-            ) / (2.0 * FD_STEP)
-        new1 = new1 + config.beta * shape1
-        new2 = new2 + config.beta * shape2
+        hess = _value_hessians(game, p1.theta, p2.theta)
+        shape = hess[0, :THETA_DIM].T @ g22 + hess[1, THETA_DIM:].T @ g11
+        new1 = new1 + config.beta * shape[:THETA_DIM]
+        new2 = new2 + config.beta * shape[THETA_DIM:]
     return memory1_policy(new1), memory1_policy(new2)
 
 

@@ -683,8 +683,8 @@ CLI_DETERMINISM_COMMANDS = [
 
 
 # Paths that the acceptance-12 commands miss, pinned by digest only: the
-# plutocratic and egalitarian CE LPs, three-agent CE games, and minimax-Q
-# with episode resets and no oracle column.
+# plutocratic and egalitarian CE LPs, three-agent CE games, minimax-Q
+# with episode resets and no oracle column, and a shaped (beta > 0) LOLA run.
 CLI_GUARD_COMMANDS = [
     ["solve", "ce", "--game", "random:matrix:2x2x2", "--objective", "egalitarian",
      "--seed", "5"],
@@ -700,6 +700,8 @@ CLI_GUARD_COMMANDS = [
      "--seed", "3"],
     ["learn", "minimax-q", "--game", "random:zs-stoch:3:3x2:0.9", "--episode-length", "7",
      "--steps", "800", "--seed", "1"],
+    ["learn", "lola", "--game", "classic:prisoners_dilemma", "--steps", "20", "--beta", "0.2",
+     "--seed", "6"],
 ]
 
 
@@ -902,3 +904,39 @@ def merl_digests() -> dict:
 def test_merl_outputs_match_pinned_digests():
     """merl_train keeps the bytes pinned under "merl"."""
     assert merl_digests() == pinned_digests("merl")
+
+
+def shaping_digests() -> dict:
+    """sha256 over the first-order shaping routines: value_gradients,
+    exact_values and mean_cooperation on seeded logit pairs (moderate, wide
+    and partly saturated at +-20) over four discounts, for the prisoner's
+    dilemma, chicken, matching pennies and three random 2x2 games; plus a
+    50-step naive trajectory on the prisoner's dilemma."""
+    rng = np.random.default_rng(20261019)
+    stages = [classic_game(name) for name in ("prisoners_dilemma", "chicken", "matching_pennies")]
+    stages += [random_game(seed, (2, 2)) for seed in (1, 2, 3)]
+    h = hashlib.sha256()
+    for k in range(240):
+        game = iterated_game(stages[k % len(stages)], (0.5, 0.9, 0.96, 0.99)[k % 4])
+        scale = (1.0, 3.0, 5.0)[k % 3]
+        thetas = rng.normal(size=(2, 5)) * scale
+        thetas[rng.random((2, 5)) < 0.1 * (k % 3)] = 20.0 * rng.choice([-1.0, 1.0])
+        a, b = memory1_policy(thetas[0]), memory1_policy(thetas[1])
+        for part in (*value_gradients(game, a, b), exact_values(game, a, b),
+                     mean_cooperation(game, a, b)):
+            h.update(np.asarray(part, dtype=float).tobytes())
+    digests = {"first_order": h.hexdigest()}
+    game = iterated_game(classic_game("prisoners_dilemma"), 0.96)
+    traj = train_shapers(game, LolaConfig(alpha=1.0, beta=0.0, gamma=0.96, steps=50, seed=6),
+                         learner=NAIVE)
+    h = hashlib.sha256()
+    for part in (traj.thetas1, traj.thetas2, traj.values):
+        h.update(part.tobytes())
+    digests["naive_trajectory"] = h.hexdigest()
+    return digests
+
+
+def test_shaping_outputs_match_pinned_digests():
+    """value_gradients, exact_values, mean_cooperation and the naive (beta = 0)
+    trajectory keep the bytes pinned under "shaping"."""
+    assert shaping_digests() == pinned_digests("shaping")

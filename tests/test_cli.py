@@ -299,6 +299,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: dt {float(dt)} must be finite and positive\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_result_is_not_written(self, bad, tmp_path, capsys, monkeypatch):
+        solve = cli.SOLVERS["minimax"]
+
+        def with_bad_value(*args):
+            solution, verification = solve(*args)
+            return {**solution, "value": bad}, verification
+
+        monkeypatch.setitem(cli.SOLVERS, "minimax", with_bad_value)
+        out = tmp_path / "od"
+        rc = run(["solve", "minimax", "--game", "classic:rps", "--seed", 0, "--out", out])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith(
+            f"error: refusing to write {out / 'minimax_solution.json'}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("alpha", "inf"), ("beta", "nan"), ("alpha", "0")])
+    def test_lola_step_sizes_must_be_finite(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "od"
+        rc = run(["learn", "lola", "--game", "classic:prisoners_dilemma", f"--{flag}", value,
+                  "--steps", 2, "--seed", 0, "--out", out])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"error: {flag} {float(value)} must be finite")
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec, drawn", [
         ("random:matrix:100000x100000", 2 * 10**10),
         ("random:zs-stoch:100:100x100:0.9", 102 * 100 * 10**4),

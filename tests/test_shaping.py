@@ -1,12 +1,13 @@
 """Opponent shaping on iterated 2x2 games: exact values against closed forms
-and Monte-Carlo rollouts, analytic gradients against finite differences, and
-the shaped-vs-naive update pair."""
+and Monte-Carlo rollouts, analytic gradients and the analytic LOLA step
+against finite differences, and the shaped-vs-naive update pair."""
 
 import numpy as np
 import pytest
 
+import gtmarl.shaping as shaping
 from gtmarl.errors import DivergenceError, SpecError
-from gtmarl.games import classic_game
+from gtmarl.games import classic_game, random_game
 from gtmarl.shaping import (
     LOLA,
     NAIVE,
@@ -26,6 +27,8 @@ from gtmarl.shaping import (
 PD = classic_game("prisoners_dilemma")
 # role swap permutes the conditioning outcomes: CD and DC trade places
 SWAP = np.array([0, 1, 3, 2, 4])
+STAGES = [classic_game(name) for name in ("prisoners_dilemma", "chicken", "matching_pennies")]
+STAGES += [random_game(seed, (2, 2)) for seed in (1, 2, 3)]
 
 
 def sigmoid(x):
@@ -155,6 +158,85 @@ class TestValueGradients:
         assert np.max(np.abs(g22)) < 1e-10
 
 
+def reference_lola_step(game, p1, p2, config, h=1e-6):
+    """lola_step with the cross-term gradient taken by central differences
+    (step h) of the product of the exact first-order gradients."""
+    g11, _, _, g22 = value_gradients(game, p1, p2)
+
+    def cross(theta1, theta2):
+        a, _, _, b = value_gradients(game, Memory1Policy(theta1), Memory1Policy(theta2))
+        return float(a @ b)
+
+    shape1 = np.empty(5)
+    shape2 = np.empty(5)
+    for idx in range(5):
+        bump = np.zeros(5)
+        bump[idx] = h
+        shape1[idx] = (cross(p1.theta + bump, p2.theta) - cross(p1.theta - bump, p2.theta)) / (2 * h)
+        shape2[idx] = (cross(p1.theta, p2.theta + bump) - cross(p1.theta, p2.theta - bump)) / (2 * h)
+    new1 = p1.theta + config.alpha * g11 + config.beta * shape1
+    new2 = p2.theta + config.alpha * g22 + config.beta * shape2
+    return memory1_policy(new1), memory1_policy(new2)
+
+
+def seeded_logit_pairs(count, seed):
+    """(game, policy, policy) over STAGES at gamma 0.96: logits uniform on
+    [-5, 5], and in every fourth pair about a third of them saturated at +-20."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        thetas = rng.uniform(-5.0, 5.0, size=(2, 5))
+        if k % 4 == 0:
+            mask = rng.random((2, 5)) < 0.35
+            thetas[mask] = 20.0 * rng.choice([-1.0, 1.0], size=mask.sum())
+        game = iterated_game(STAGES[k % len(STAGES)], 0.96)
+        yield game, memory1_policy(thetas[0]), memory1_policy(thetas[1])
+
+
+class TestLolaCrossTerm:
+    def test_matches_finite_difference_step(self):
+        cfg = LolaConfig(alpha=1.0, beta=1.0, gamma=0.96)
+        for game, a, b in seeded_logit_pairs(200, 31):
+            start = np.concatenate([a.theta, b.theta])
+            got = np.concatenate([p.theta for p in lola_step(game, a, b, cfg)]) - start
+            want = np.concatenate([p.theta for p in reference_lola_step(game, a, b, cfg)]) - start
+            assert np.max(np.abs(got - want)) <= 1e-6 * (1.0 + np.max(np.abs(want)))
+
+    def test_hessians_are_symmetric_and_match_the_gradients(self):
+        h = 1e-6
+        for k, (game, a, b) in enumerate(seeded_logit_pairs(40, 32)):
+            hess = shaping._value_hessians(game, a.theta, b.theta)
+            assert hess.shape == (2, 10, 10)
+            scale = 1.0 + np.max(np.abs(hess))
+            assert np.max(np.abs(hess - hess.transpose(0, 2, 1))) <= 1e-12 * scale
+            if k % 4:
+                continue  # differentiate the gradients on a quarter of the pairs
+
+            def grads(theta):
+                g = value_gradients(game, Memory1Policy(theta[:5]), Memory1Policy(theta[5:]))
+                return np.array([np.concatenate(g[:2]), np.concatenate(g[2:])])
+
+            theta = np.concatenate([a.theta, b.theta])
+            for idx in range(10):
+                bump = np.zeros(10)
+                bump[idx] = h
+                fd = (grads(theta + bump) - grads(theta - bump)) / (2 * h)
+                assert np.max(np.abs(hess[:, idx] - fd)) <= 1e-6 * scale
+
+    def test_one_value_gradients_call_per_step(self, monkeypatch):
+        calls = []
+        original = shaping.value_gradients
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(shaping, "value_gradients", counted)
+        g = iterated_game(PD, 0.96)
+        cfg = LolaConfig(alpha=1.0, beta=0.2, gamma=0.96, steps=12, seed=3)
+        train_shapers(g, cfg, learner=LOLA)
+        assert len(calls) == cfg.steps
+
+
 class TestUpdates:
     def test_beta_zero_is_naive_bitwise(self):
         g = iterated_game(PD, 0.96)
@@ -231,15 +313,28 @@ class TestInterfaces:
         with pytest.raises(SpecError):
             iterated_game(PD, 1.0)
 
-    def test_config_validation(self):
-        with pytest.raises(SpecError):
-            LolaConfig(alpha=0.0)
-        with pytest.raises(SpecError):
-            LolaConfig(beta=-0.5)
-        with pytest.raises(SpecError):
-            LolaConfig(gamma=1.0)
-        with pytest.raises(SpecError):
-            LolaConfig(steps=-1)
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", 0.0, "alpha 0.0 must be finite and positive"),
+        ("alpha", np.inf, "alpha inf must be finite and positive"),
+        ("alpha", np.nan, "alpha nan must be finite and positive"),
+        ("beta", -0.5, "beta -0.5 must be finite and nonnegative"),
+        ("beta", np.inf, "beta inf must be finite and nonnegative"),
+        ("gamma", 1.0, "gamma 1.0 outside (0, 1)"),
+        ("gamma", np.nan, "gamma nan outside (0, 1)"),
+        ("steps", -1, "steps -1 must be an integer >= 0"),
+        ("steps", 2.5, "steps 2.5 must be an integer >= 0"),
+        ("steps", True, "steps True must be an integer >= 0"),
+        ("seed", -1, "seed -1 must be an integer >= 0"),
+        ("seed", 1.0, "seed 1.0 must be an integer >= 0"),
+    ])
+    def test_config_validation(self, field, value, message):
+        with pytest.raises(SpecError) as err:
+            LolaConfig(**{field: value})
+        assert str(err.value) == message
+
+    def test_config_accepts_zero_steps_and_numpy_integers(self):
+        assert LolaConfig(steps=0).steps == 0
+        assert LolaConfig(steps=np.int64(3), seed=np.int64(2)).seed == 2
 
     def test_mean_cooperation_extremes(self):
         g = iterated_game(PD, 0.96)
