@@ -32,8 +32,8 @@ NAIVE = "naive"
 
 # The ten logits (theta1, theta2) of _value_hessians: an opening logit moves
 # p0, logit s + 1 moves row s of M. d(outcome row)/d(own cooperation prob)
-# is _DIR_BASE + (the other player's cooperation prob) * _JOINT_DIR, which is
-# also d^2(outcome row)/dc1 dc2.
+# is _DIR_BASE + (the other player's cooperation prob) * _JOINT_DIR, and
+# _JOINT_DIR is d^2(outcome row)/dc1 dc2.
 _OPENING = [0, THETA_DIM]
 _ROW_SELECT = np.hstack([np.zeros((4, 1)), np.eye(4)] * 2)
 _DIR_BASE = np.repeat([[0.0, 1.0, 0.0, -1.0], [0.0, 0.0, 1.0, -1.0]], THETA_DIM, axis=0)
@@ -108,7 +108,7 @@ def _outcome_chain(theta1: np.ndarray, theta2: np.ndarray):
     p1 = _sigmoid(theta1)
     p2 = _sigmoid(theta2)
     # row j is (c1 c2, c1 (1 - c2), (1 - c1) c2, (1 - c1)(1 - c2)) at index j
-    rows = (np.array([p1, 1.0 - p1]).T[:, :, None] * np.array([p2, 1.0 - p2]).T[:, None, :])
+    rows = np.array([p1, 1.0 - p1]).T[:, :, None] * np.array([p2, 1.0 - p2]).T[:, None, :]
     rows = rows.reshape(THETA_DIM, 4)
     return rows[0], rows[1:], p1, p2
 

@@ -313,24 +313,25 @@ class TestInterfaces:
         with pytest.raises(SpecError):
             iterated_game(PD, 1.0)
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("alpha", 0.0, "alpha 0.0 must be finite and positive"),
-        ("alpha", np.inf, "alpha inf must be finite and positive"),
-        ("alpha", np.nan, "alpha nan must be finite and positive"),
-        ("beta", -0.5, "beta -0.5 must be finite and nonnegative"),
-        ("beta", np.inf, "beta inf must be finite and nonnegative"),
-        ("gamma", 1.0, "gamma 1.0 outside (0, 1)"),
-        ("gamma", np.nan, "gamma nan outside (0, 1)"),
-        ("steps", -1, "steps -1 must be an integer >= 0"),
-        ("steps", 2.5, "steps 2.5 must be an integer >= 0"),
-        ("steps", True, "steps True must be an integer >= 0"),
-        ("seed", -1, "seed -1 must be an integer >= 0"),
-        ("seed", 1.0, "seed 1.0 must be an integer >= 0"),
-    ])
-    def test_config_validation(self, field, value, message):
-        with pytest.raises(SpecError) as err:
-            LolaConfig(**{field: value})
-        assert str(err.value) == message
+    def test_config_validation(self):
+        # each rejected field is named in the message, with its value
+        for field, value, message in [
+            ("alpha", 0.0, "alpha 0.0 must be finite and positive"),
+            ("alpha", np.inf, "alpha inf must be finite and positive"),
+            ("alpha", np.nan, "alpha nan must be finite and positive"),
+            ("beta", -0.5, "beta -0.5 must be finite and nonnegative"),
+            ("beta", np.inf, "beta inf must be finite and nonnegative"),
+            ("gamma", 1.0, "gamma 1.0 outside (0, 1)"),
+            ("gamma", np.nan, "gamma nan outside (0, 1)"),
+            ("steps", -1, "steps -1 must be an integer >= 0"),
+            ("steps", 2.5, "steps 2.5 must be an integer >= 0"),
+            ("steps", True, "steps True must be an integer >= 0"),
+            ("seed", -1, "seed -1 must be an integer >= 0"),
+            ("seed", 1.0, "seed 1.0 must be an integer >= 0"),
+        ]:
+            with pytest.raises(SpecError) as err:
+                LolaConfig(**{field: value})
+            assert str(err.value) == message
 
     def test_config_accepts_zero_steps_and_numpy_integers(self):
         assert LolaConfig(steps=0).steps == 0
