@@ -376,9 +376,13 @@ def _run_solve(args: argparse.Namespace) -> int:
 
 
 # --- learn -------------------------------------------------------------------
-# Each runner writes the curve CSV and returns the result doc. Runners call
+# Each runner returns the result doc and a callable that writes the curve CSV,
+# so that the result is written and checked before the curve. Runners call
 # the library by its name in this module at call time, so that a wrapper
 # installed on that name (the benchmark's tracer) sees the call.
+
+_Outcome = tuple[dict, Callable[[], None]]  # a runner's result doc and its curve writer
+
 
 class _Run(NamedTuple):
     cfg: dict
@@ -396,19 +400,16 @@ def _schedule(run: _Run) -> LearningSchedule:
 def _parse_x0(raw, size: int) -> np.ndarray:
     if raw is None:
         return np.full(size, 1.0 / size)
-    if isinstance(raw, str):
-        try:
-            values = [float(part) for part in raw.split(",")]
-        except ValueError:
-            raise GameFormatError(f"bad x0 {raw!r}; expected comma-separated numbers")
-    elif isinstance(raw, (list, tuple)):
-        values = [float(v) for v in raw]
-    else:
+    if not isinstance(raw, (str, list, tuple)):
         raise GameFormatError("x0 must be a string or a list of numbers")
-    return np.asarray(values)
+    try:
+        return np.asarray([float(v) for v in (raw.split(",") if isinstance(raw, str) else raw)])
+    except (TypeError, ValueError):
+        raise GameFormatError(
+            f"bad x0 {raw!r}; expected comma-separated numbers or a list of numbers")
 
 
-def _learn_minimax_q(run: _Run) -> dict:
+def _learn_minimax_q(run: _Run) -> _Outcome:
     oracle = shapley_value_iteration(run.game).values if run.cfg.get("oracle") else None
     res = minimax_q_train(run.game, _schedule(run), run.record_every, oracle)
     result = {
@@ -417,91 +418,90 @@ def _learn_minimax_q(run: _Run) -> dict:
         "opponent_policies": res.opponent_policies,
         "q": res.q.tables[0],
     }
+    header = ["step", "mean_reward"]
     if oracle is None:
-        write_csv(run.curve, ["step", "mean_reward"], [row[:2] for row in res.curve])
-        return result
-    write_csv(run.curve, ["step", "mean_reward", "sup_value_error"], res.curve)
+        return result, lambda: write_csv(run.curve, header, [row[:2] for row in res.curve])
     result["oracle_values"] = oracle
     result["sup_value_error"] = float(np.max(np.abs(res.values - oracle)))
-    return result
+    return result, lambda: write_csv(run.curve, header + ["sup_value_error"], res.curve)
 
 
-def _learn_ce_q(run: _Run) -> dict:
+def _learn_ce_q(run: _Run) -> _Outcome:
     objective = _objective(run.cfg)
     res = correlated_q_train(run.game, objective, _schedule(run), run.record_every)
     header = ["step"] + [f"mean_reward_{i + 1}" for i in range(run.game.num_agents)]
-    write_csv(run.curve, header, res.curve)
-    return {
+    result = {
         "objective": objective,
         "stage_policies": res.stage_policies,
         "q": list(res.q.tables),
     }
+    return result, lambda: write_csv(run.curve, header, res.curve)
 
 
-def _learn_regret(run: _Run) -> dict:
+def _learn_regret(run: _Run) -> _Outcome:
     mode = str(run.cfg.get("mode") or EXTERNAL)
     res = regret_matching_play(run.game, run.steps, mode, run.seed, run.record_every)
     report = ce_check(run.game, res.empirical, _get(run.cfg, "eps", float, 0.05))
-    write_csv(run.curve, ["step", "max_avg_positive_regret"], res.curve)
-    return {
+    result = {
         "mode": mode,
         "empirical": res.empirical,
         "ce_check_passed": report.passed,
         "ce_max_violation": report.max_violation,
     }
+    return result, lambda: write_csv(run.curve, ["step", "max_avg_positive_regret"], res.curve)
 
 
-def _learn_fp(run: _Run) -> dict:
+def _learn_fp(run: _Run) -> _Outcome:
     res = fictitious_play(run.game, run.steps)
     rows = [(t + 1, res.exploitability[t]) for t in range(run.steps)]
-    write_csv(run.curve, ["step", "exploitability"], rows)
-    return {
+    result = {
         "empirical": list(res.empirical),
         "final_exploitability": float(res.exploitability[-1]),
     }
+    return result, lambda: write_csv(run.curve, ["step", "exploitability"], rows)
 
 
-def _learn_replicator(run: _Run) -> dict:
+def _learn_replicator(run: _Run) -> _Outcome:
     matrix = run.game.payoffs[0]
     x0 = _parse_x0(run.cfg.get("x0"), run.game.actions[0])
     params = _config(DynamicsParams, run.cfg, REPLICATOR_FIELDS, steps=run.steps)
     trajectory = integrate_replicator(
         matrix, x0, params, method=str(run.cfg.get("integrator") or "rk4")
     )
-    write_trajectory_csv(run.curve, trajectory, params.dt)
-    return {
+    result = {
         "final": trajectory[-1],
         "fixed_point": fixed_point_check(matrix, trajectory[-1], 1e-6),
     }
+    return result, lambda: write_trajectory_csv(run.curve, trajectory, params.dt)
 
 
-def _learn_lola(run: _Run) -> dict:
+def _learn_lola(run: _Run) -> _Outcome:
     config = _config(LolaConfig, run.cfg, LOLA_FIELDS, steps=run.steps, seed=run.seed)
     trajectory = train_shapers(
         iterated_game(run.game, config.gamma), config, str(run.cfg.get("learner") or LOLA)
     )
-    write_shaping_csv(run.curve, trajectory)
-    return {
+    result = {
         "theta1": trajectory.thetas1[-1],
         "theta2": trajectory.thetas2[-1],
         "values": trajectory.values[-1],
     }
+    return result, lambda: write_shaping_csv(run.curve, trajectory)
 
 
-def _learn_merl(run: _Run) -> dict:
+def _learn_merl(run: _Run) -> _Outcome:
     config = _config(MerlConfig, run.cfg, MERL_FIELDS, seed=run.seed)
     res = merl_train(config)
-    write_merl_csv(run.curve, res, json.dumps(run.cfg, sort_keys=True))
-    return {
+    result = {
         "best_fitness": res.best_fitness,
         "best_genome": res.best_genome,
         "pg_genome": res.pg_genome,
         "generations": config.generations,
     }
+    return result, lambda: write_merl_csv(run.curve, res, json.dumps(run.cfg, sort_keys=True))
 
 
 class Learner(NamedTuple):
-    run: Callable[[_Run], dict]
+    run: Callable[[_Run], _Outcome]
     game: str | None    # the games.GAME_KINDS kind the method needs; None: no game
     steps: int | None   # the --steps default; None: the method has no step budget
 
@@ -535,7 +535,9 @@ def _run_learn(args: argparse.Namespace) -> int:
     out = _out_dir(cfg)
     curve_path = out / f"{stem}_curve.csv"
     result_path = out / f"{stem}_result.json"
-    write_json(result_path, learner.run(_Run(cfg, seed, game, steps, record_every, curve_path)))
+    result, write_curve = learner.run(_Run(cfg, seed, game, steps, record_every, curve_path))
+    write_json(result_path, result)
+    write_curve()
     return _finish(out, stem, cfg, [curve_path, result_path], started)
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError, SpecError
+from .errors import IntegrationError, SpecError, check_recorded
 from .output import write_csv
 
 NEGATIVE_DRIFT_TOL = -1e-12
@@ -31,6 +31,7 @@ class DynamicsParams:
             raise SpecError(f"dt {self.dt} must be finite and positive")
         if self.steps < 1:
             raise SpecError(f"steps {self.steps} must be at least 1")
+        check_recorded(self.steps + 1, steps=self.steps)  # a trajectory row per step
 
 
 def population_state(x) -> PopulationState:

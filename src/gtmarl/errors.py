@@ -1,8 +1,10 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the cap on what a run records.
 
 The CLI maps these onto process exit codes: malformed input files -> 2,
 violated preconditions -> 3, numerical faults -> 4.
 """
+
+MAX_RECORDED_ENTRIES = 10**7  # array entries one run may record or buffer
 
 
 class GameFormatError(ValueError):
@@ -11,6 +13,15 @@ class GameFormatError(ValueError):
 
 class SpecError(ValueError):
     """A call violates a documented precondition."""
+
+
+def check_recorded(entries: int, **sizes) -> None:
+    """Refuse, before any allocation, a run whose sizes (each named with its
+    value) would record or buffer more than MAX_RECORDED_ENTRIES entries."""
+    if entries > MAX_RECORDED_ENTRIES:
+        named = ", ".join(f"{name} {value}" for name, value in sizes.items())
+        raise SpecError(f"{named}: {entries} entries to record exceed the cap "
+                        f"{MAX_RECORDED_ENTRIES}")
 
 
 class NumericalError(RuntimeError):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .equilibrium import UTILITARIAN, solve_ce_distribution, stage_minimax
-from .errors import NumericalError, SpecError
+from .errors import NumericalError, SpecError, check_recorded
 from .games import MatrixGame, StochasticGame, require_kind, strides
 
 VISIT_DECAY_POWER = 0.85
@@ -397,6 +397,7 @@ def regret_matching_play(
     if record_every is not None and record_every < 1:
         raise SpecError("record_every must be at least 1")
     n = game.num_agents
+    check_recorded(n * steps, steps=steps)  # the action log
     regrets = [np.zeros(k if mode == EXTERNAL else (k, k)) for k in game.actions]
     strategy_of = _external_strategy if mode == EXTERNAL else _internal_strategy
     # own-action-major payoff views: payoff_own[i][a, rest] with the other
@@ -511,6 +512,7 @@ def fictitious_play(game: MatrixGame, steps: int) -> FictitiousPlayResult:
         raise SpecError("fictitious play covers two-player games here")
     if steps < 1:
         raise SpecError("steps must be at least 1")
+    check_recorded(3 * steps, steps=steps)  # the action log and the curve
     k1, k2 = game.actions
     a_mat, b_mat = game.payoffs
     models = (OpponentModel(1, k1), OpponentModel(1, k2))

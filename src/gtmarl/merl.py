@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import SpecError, check_recorded
 from .output import write_csv
 
 FEATURE_DIM = 3  # own position, centroid of the others, bias
@@ -344,6 +344,13 @@ class MerlConfig:
             raise SpecError("migration_period must be positive when set")
         if self.eval_episodes < 1:
             raise SpecError("eval_episodes must be positive")
+        # a generation's rollout features, and the replay rows (phi, a, r, phi')
+        n, size, episodes, horizon = (
+            self.num_agents, self.population, self.eval_episodes, self.horizon)
+        check_recorded((size + 1) * episodes * (horizon + 1) * n * FEATURE_DIM, population=size,
+                       eval_episodes=episodes, horizon=horizon, num_agents=n)
+        check_recorded(n * self.buffer_capacity * (2 * FEATURE_DIM + 2), num_agents=n,
+                       buffer_capacity=self.buffer_capacity)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,10 @@ outcome transition matrix and p0 the opening outcome distribution,
 
     V_i = p0' (I - gamma M)^{-1} r_i
 
-as a raw discounted sum. Gradients are exact via forward sensitivities of
-the linear solve. The LOLA cross term is differentiated exactly too: each
-logit moves p0 or one row of M by a rank-one change, so both value Hessians
-follow in closed form from one inverse of I - gamma M.
+as a raw discounted sum. Each logit moves p0 or one row of M by a rank-one
+change, so one inverse of I - gamma M gives every per-logit sensitivity:
+the exact gradients, and the two value Hessians from which the LOLA cross
+term is differentiated exactly, both follow from it in closed form.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, NumericalError, SpecError
+from .errors import DivergenceError, NumericalError, SpecError, check_recorded
 from .games import MatrixGame
 from .output import write_csv
 
@@ -30,10 +30,9 @@ LOGIT_LIMIT = 50.0
 LOLA = "lola"
 NAIVE = "naive"
 
-# The ten logits (theta1, theta2) of _value_hessians: an opening logit moves
-# p0, logit s + 1 moves row s of M. d(outcome row)/d(own cooperation prob)
-# is _DIR_BASE + (the other player's cooperation prob) * _JOINT_DIR, and
-# _JOINT_DIR is d^2(outcome row)/dc1 dc2.
+# Over the ten logits (theta1, theta2), d(outcome row)/d(own cooperation
+# prob) is _DIR_BASE + (the other player's cooperation prob) * _JOINT_DIR,
+# and _JOINT_DIR is d^2(outcome row)/dc1 dc2.
 _OPENING = [0, THETA_DIM]
 _ROW_SELECT = np.hstack([np.zeros((4, 1)), np.eye(4)] * 2)
 _DIR_BASE = np.repeat([[0.0, 1.0, 0.0, -1.0], [0.0, 0.0, 1.0, -1.0]], THETA_DIM, axis=0)
@@ -70,6 +69,8 @@ class LolaConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
                 raise SpecError(f"{name} {value!r} must be an integer >= 0")
+        # both logit rows and both values at every step and at the start
+        check_recorded((self.steps + 1) * (2 * THETA_DIM + 2), steps=self.steps)
 
 
 @dataclass(frozen=True)
@@ -143,72 +144,46 @@ def mean_cooperation(game: IteratedGame, p1: Memory1Policy, p2: Memory1Policy) -
     return float(visits[0] + visits[1]), float(visits[0] + visits[2])
 
 
-def value_gradients(game: IteratedGame, p1: Memory1Policy, p2: Memory1Policy):
-    """Exact gradients (dV1/dtheta1, dV1/dtheta2, dV2/dtheta1, dV2/dtheta2).
-
-    Only the opening logit moves p0 and only logit s+1 moves row s of M, so
-    each derivative needs one inner product against the presolved systems
-    z_i = K^{-1} r_i and w = K^{-T} p0 with K = I - gamma M.
-    """
-    theta1, theta2 = p1.theta, p2.theta
+def _outcome_terms(game: IteratedGame, theta1: np.ndarray, theta2: np.ndarray):
+    """The per-logit terms over the ten logits (theta1, theta2), from one
+    solve of K = I - gamma M. Logit x moves one outcome row, p0 or row s of
+    M, along q_x = sigma'(theta_x) dirs[x], so dV_i/dx = omega_x (q_x . z_i)
+    with z_i = K^{-1} r_i, and omega_x = 1 for an opening logit and gamma w[s]
+    (w = K^{-T} p0) for a row logit. Returns (k_inv: K^{-1} e_s in the column
+    of each row logit and 0 in an opening logit's, z, omega, the cooperation
+    probabilities, dirs, sigma')."""
     p0, m, prob1, prob2 = _outcome_chain(theta1, theta2)
-    r1, r2 = _stage_vectors(game)
-    k = np.eye(4) - game.gamma * m
-    z = _solve_outcome(k, np.stack([r1, r2], axis=1))
-    w = _solve_outcome(k.T, p0)
-    sig_grad1 = prob1 * (1.0 - prob1)
-    sig_grad2 = prob2 * (1.0 - prob2)
+    k_inv = _solve_outcome(np.eye(4) - game.gamma * m, _ROW_SELECT)
+    z = k_inv[:, 1:THETA_DIM] @ np.array(_stage_vectors(game)).T
+    weight = game.gamma * (p0 @ k_inv)
+    weight[_OPENING] = 1.0
+    probs = np.concatenate([prob1, prob2])
+    dirs = _DIR_BASE + np.concatenate([prob2, prob1])[:, None] * _JOINT_DIR
+    slope = probs * (1.0 - probs)
+    return k_inv, z, weight, probs, dirs, slope
 
-    def own_direction(other_coop: float) -> np.ndarray:
-        # d(outcome row)/d(own cooperation prob), own move listed first
-        return np.array([other_coop, 1.0 - other_coop, -other_coop, -(1.0 - other_coop)])
 
-    grads = np.zeros((2, 2, THETA_DIM))  # [value of agent, theta of agent, coord]
-    for agent, (sig_grad, probs_other) in enumerate(
-        ((sig_grad1, prob2), (sig_grad2, prob1))
-    ):
-        direction0 = own_direction(probs_other[0])
-        if agent == 1:
-            # player 2's move is the second letter: swap the CD/DC slots
-            direction0 = direction0[[0, 2, 1, 3]]
-        for value_of in range(2):
-            grads[value_of, agent, 0] = sig_grad[0] * (direction0 @ z[:, value_of])
-        for s in range(4):
-            row_dir = own_direction(probs_other[s + 1])
-            if agent == 1:
-                row_dir = row_dir[[0, 2, 1, 3]]
-            for value_of in range(2):
-                grads[value_of, agent, s + 1] = (
-                    game.gamma * sig_grad[s + 1] * w[s] * (row_dir @ z[:, value_of])
-                )
-    return grads[0, 0], grads[0, 1], grads[1, 0], grads[1, 1]
+def value_gradients(game: IteratedGame, p1: Memory1Policy, p2: Memory1Policy):
+    """Exact gradients (dV1/dtheta1, dV1/dtheta2, dV2/dtheta1, dV2/dtheta2):
+    dV_i/dx = omega_x sigma'(theta_x) (dirs[x] . z_i) of _outcome_terms, for
+    all ten logits in one product."""
+    _, z, weight, _, dirs, slope = _outcome_terms(game, p1.theta, p2.theta)
+    grads = (weight * slope)[:, None] * (dirs @ z)  # [logit, value of agent]
+    return tuple(grads.T.reshape(4, THETA_DIM))
 
 
 def _value_hessians(game: IteratedGame, theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
     """Exact Hessians of (V1, V2) over the ten logits (theta1, theta2),
-    shape (2, 10, 10).
-
-    Logit x moves one outcome row, p0 or row s of M, along
-    q_x = sigma'(theta_x) d(row)/d(own prob), so dV_i/dx = omega_x (q_x . z_i)
-    with omega_x = 1 for an opening logit and gamma w[s] for a row logit.
-    Differentiating that product once more:
+    shape (2, 10, 10): dV_i/dx = omega_x (q_x . z_i) of _outcome_terms,
+    differentiated once more:
     - omega_y moves with dw/dx = omega_x K^{-T} q_x, and z_i moves by the
       same rank-one change, which gives the transpose of that part;
     - q_y moves with its own logit (sigma'') and with the other player's
       logit at the same index (the c1 c2 cross term of the outcome row).
     """
-    p0, m, prob1, prob2 = _outcome_chain(theta1, theta2)
-    gamma = game.gamma
-    # K^{-1} e_s in the column of each row logit, 0 in an opening logit's
-    k_inv = _solve_outcome(np.eye(4) - gamma * m, _ROW_SELECT)
-    z = k_inv[:, 1:THETA_DIM] @ np.array(_stage_vectors(game)).T
-    weight = gamma * (p0 @ k_inv)
-    weight[_OPENING] = 1.0
-    probs = np.concatenate([prob1, prob2])
-    dirs = _DIR_BASE + np.concatenate([prob2, prob1])[:, None] * _JOINT_DIR
-    slope = probs * (1.0 - probs)
+    k_inv, z, weight, probs, dirs, slope = _outcome_terms(game, theta1, theta2)
     q = slope[:, None] * dirs
-    part = (gamma * weight[:, None] * (q @ k_inv)) * (q @ z).T[:, None, :]
+    part = (game.gamma * weight[:, None] * (q @ k_inv)) * (q @ z).T[:, None, :]
     hess = part + part.transpose(0, 2, 1)
     n = 2 * THETA_DIM
     flat = hess.reshape(2, n * n)  # entry (x, y) at x * n + y

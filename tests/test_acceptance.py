@@ -50,6 +50,7 @@ from gtmarl.learners import (
     shapley_value_iteration,
 )
 from gtmarl.linprog import linear_program, solve_lp
+from gtmarl import shaping
 from gtmarl.merl import (
     CRITIC_DIM,
     FEATURE_DIM,
@@ -907,25 +908,29 @@ def test_merl_outputs_match_pinned_digests():
 
 
 def shaping_digests() -> dict:
-    """sha256 over the first-order shaping routines: value_gradients,
-    exact_values and mean_cooperation on seeded logit pairs (moderate, wide
+    """sha256 over the shaping routines on seeded logit pairs (moderate, wide
     and partly saturated at +-20) over four discounts, for the prisoner's
-    dilemma, chicken, matching pennies and three random 2x2 games; plus a
-    50-step naive trajectory on the prisoner's dilemma."""
+    dilemma, chicken, matching pennies and three random 2x2 games:
+    "first_order" hashes value_gradients, exact_values and mean_cooperation;
+    "kept" hashes exact_values, mean_cooperation and the value Hessians alone.
+    Plus a 50-step naive trajectory on the prisoner's dilemma."""
     rng = np.random.default_rng(20261019)
     stages = [classic_game(name) for name in ("prisoners_dilemma", "chicken", "matching_pennies")]
     stages += [random_game(seed, (2, 2)) for seed in (1, 2, 3)]
     h = hashlib.sha256()
+    kept = hashlib.sha256()
     for k in range(240):
         game = iterated_game(stages[k % len(stages)], (0.5, 0.9, 0.96, 0.99)[k % 4])
         scale = (1.0, 3.0, 5.0)[k % 3]
         thetas = rng.normal(size=(2, 5)) * scale
         thetas[rng.random((2, 5)) < 0.1 * (k % 3)] = 20.0 * rng.choice([-1.0, 1.0])
         a, b = memory1_policy(thetas[0]), memory1_policy(thetas[1])
-        for part in (*value_gradients(game, a, b), exact_values(game, a, b),
-                     mean_cooperation(game, a, b)):
+        values, coop = exact_values(game, a, b), mean_cooperation(game, a, b)
+        for part in (*value_gradients(game, a, b), values, coop):
             h.update(np.asarray(part, dtype=float).tobytes())
-    digests = {"first_order": h.hexdigest()}
+        for part in (values, coop, shaping._value_hessians(game, a.theta, b.theta)):
+            kept.update(np.asarray(part, dtype=float).tobytes())
+    digests = {"first_order": h.hexdigest(), "kept": kept.hexdigest()}
     game = iterated_game(classic_game("prisoners_dilemma"), 0.96)
     traj = train_shapers(game, LolaConfig(alpha=1.0, beta=0.0, gamma=0.96, steps=50, seed=6),
                          learner=NAIVE)
@@ -937,6 +942,6 @@ def shaping_digests() -> dict:
 
 
 def test_shaping_outputs_match_pinned_digests():
-    """value_gradients, exact_values, mean_cooperation and the naive (beta = 0)
-    trajectory keep the bytes pinned under "shaping"."""
+    """value_gradients, exact_values, mean_cooperation, the value Hessians
+    and the naive (beta = 0) trajectory keep the bytes pinned under "shaping"."""
     assert shaping_digests() == pinned_digests("shaping")

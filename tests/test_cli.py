@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gtmarl import cli, games, learners
+from gtmarl import cli, errors, games, learners
 from gtmarl.cli import main
 from gtmarl.errors import NumericalError, SpecError
 from gtmarl.games import classic_game, game_to_dict, random_game, save_game
@@ -314,6 +314,56 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             f"error: refusing to write {out / 'minimax_solution.json'}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_learn_result_writes_no_curve(self, bad, tmp_path, capsys, monkeypatch):
+        learner = cli.LEARNERS["fp"]
+
+        def with_bad_value(run_args):
+            result, write_curve = learner.run(run_args)
+            return {**result, "final_exploitability": bad}, write_curve
+
+        monkeypatch.setitem(cli.LEARNERS, "fp", learner._replace(run=with_bad_value))
+        out = tmp_path / "od"
+        rc = run(["learn", "fp", "--game", "classic:rps", "--steps", 5, "--seed", 0, "--out", out])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith(
+            f"error: refusing to write {out / 'fp_result.json'}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x0", [["a", 0.5, 0.5], [None, 0.5, 0.5]])
+    def test_bad_x0_in_config(self, x0, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"x0": x0}))
+        out = tmp_path / "od"
+        rc = run(["learn", "replicator", "--game", "classic:rps", "--steps", 3, "--seed", 1,
+                  "--config", cfg, "--out", out])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: bad x0 {x0!r}; expected comma-separated numbers or a list of numbers\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, game, per_step", [
+        ("fp", "classic:rps", 3),
+        ("regret", "classic:rps", 2),
+        ("replicator", "classic:rps", 1),
+        ("lola", "classic:prisoners_dilemma", 12),
+    ])
+    def test_steps_over_the_recording_cap(self, method, game, per_step, tmp_path, capsys):
+        steps = 10**15
+        out = tmp_path / "od"
+        rc = run(["learn", method, "--game", game, "--steps", steps, "--seed", 1, "--out", out])
+        assert rc == 3
+        recorded = per_step * (steps + (method in ("replicator", "lola")))
+        assert capsys.readouterr().err == (
+            f"error: steps {steps}: {recorded} entries to record exceed the cap "
+            f"{errors.MAX_RECORDED_ENTRIES}\n")
+        assert not out.exists()
+
+    def test_recording_cap_is_inclusive(self):
+        errors.check_recorded(errors.MAX_RECORDED_ENTRIES, steps=1)
+        with pytest.raises(SpecError, match="^steps 1: 10000001 entries to record"):
+            errors.check_recorded(errors.MAX_RECORDED_ENTRIES + 1, steps=1)
 
     @pytest.mark.parametrize("flag, value", [("alpha", "inf"), ("beta", "nan"), ("alpha", "0")])
     def test_lola_step_sizes_must_be_finite(self, flag, value, tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtmarl import merl
-from gtmarl.errors import SpecError
+from gtmarl.errors import MAX_RECORDED_ENTRIES, SpecError
 from gtmarl.merl import (
     CRITIC_DIM,
     FEATURE_DIM,
@@ -429,3 +429,26 @@ class TestTrainingLoop:
             MerlConfig(migration_period=0)
         with pytest.raises(SpecError):
             MerlConfig(generations=0)
+
+    @pytest.mark.parametrize("field, named", [
+        ("num_agents", "population 10, eval_episodes 5, horizon 25, num_agents {v}"),
+        ("horizon", "population 10, eval_episodes 5, horizon {v}, num_agents 3"),
+        ("population", "population {v}, eval_episodes 5, horizon 25, num_agents 3"),
+        ("eval_episodes", "population 10, eval_episodes {v}, horizon 25, num_agents 3"),
+        ("buffer_capacity", "num_agents 3, buffer_capacity {v}"),
+    ])
+    def test_sizes_over_the_recording_cap(self, field, named):
+        # the config allocates nothing, so these sizes are safe to construct
+        value = 10**14
+        with pytest.raises(SpecError) as err:
+            MerlConfig(**{field: value})
+        message = str(err.value)
+        assert message.startswith(named.format(v=value) + ": ")
+        assert message.endswith(f"entries to record exceed the cap {MAX_RECORDED_ENTRIES}")
+
+    def test_sizes_at_the_recording_cap(self):
+        # 11 genomes x 5 episodes x 26 rows x 3 agents x 3 features per row
+        # of rollout features; 3 agents x capacity x 8 entries per replay row
+        MerlConfig(buffer_capacity=MAX_RECORDED_ENTRIES // 24)
+        with pytest.raises(SpecError):
+            MerlConfig(buffer_capacity=MAX_RECORDED_ENTRIES // 24 + 1)

@@ -1,6 +1,7 @@
 """Opponent shaping on iterated 2x2 games: exact values against closed forms
-and Monte-Carlo rollouts, analytic gradients and the analytic LOLA step
-against finite differences, and the shaped-vs-naive update pair."""
+and Monte-Carlo rollouts, analytic gradients against finite differences and
+the per-logit loop, the analytic LOLA step against finite differences, and
+the shaped-vs-naive update pair."""
 
 import numpy as np
 import pytest
@@ -158,6 +159,35 @@ class TestValueGradients:
         assert np.max(np.abs(g22)) < 1e-10
 
 
+def reference_value_gradients(game, p1, p2):
+    """value_gradients as a loop over the logits: for each one, its own
+    direction row (the slots of player 2's move swapped), one dot product
+    against z_i = K^{-1} r_i, and for a row logit the weight gamma w[s] from
+    a second solve w = K^{-T} p0."""
+    p0, m, prob1, prob2 = shaping._outcome_chain(p1.theta, p2.theta)
+    r1, r2 = game.stage.payoff_flat(0), game.stage.payoff_flat(1)
+    k = np.eye(4) - game.gamma * m
+    z = np.linalg.solve(k, np.stack([r1, r2], axis=1))
+    w = np.linalg.solve(k.T, p0)
+
+    def own_direction(other_coop):
+        # d(outcome row)/d(own cooperation prob), own move listed first
+        return np.array([other_coop, 1.0 - other_coop, -other_coop, -(1.0 - other_coop)])
+
+    grads = np.zeros((2, 2, 5))  # [value of agent, theta of agent, coord]
+    for agent, (probs, probs_other) in enumerate(((prob1, prob2), (prob2, prob1))):
+        sig_grad = probs * (1.0 - probs)
+        for idx in range(5):
+            direction = own_direction(probs_other[idx])
+            if agent == 1:
+                # player 2's move is the second letter: swap the CD/DC slots
+                direction = direction[[0, 2, 1, 3]]
+            scale = sig_grad[0] if idx == 0 else game.gamma * sig_grad[idx] * w[idx - 1]
+            for value_of in range(2):
+                grads[value_of, agent, idx] = scale * (direction @ z[:, value_of])
+    return grads[0, 0], grads[0, 1], grads[1, 0], grads[1, 1]
+
+
 def reference_lola_step(game, p1, p2, config, h=1e-6):
     """lola_step with the cross-term gradient taken by central differences
     (step h) of the product of the exact first-order gradients."""
@@ -179,17 +209,28 @@ def reference_lola_step(game, p1, p2, config, h=1e-6):
     return memory1_policy(new1), memory1_policy(new2)
 
 
-def seeded_logit_pairs(count, seed):
-    """(game, policy, policy) over STAGES at gamma 0.96: logits uniform on
-    [-5, 5], and in every fourth pair about a third of them saturated at +-20."""
+def seeded_logit_pairs(count, seed, gammas=(0.96,)):
+    """(game, policy, policy) over STAGES and every discount in gammas: logits
+    uniform on [-5, 5], and in every fourth pair about a third of them
+    saturated at +-20."""
     rng = np.random.default_rng(seed)
     for k in range(count):
         thetas = rng.uniform(-5.0, 5.0, size=(2, 5))
         if k % 4 == 0:
             mask = rng.random((2, 5)) < 0.35
             thetas[mask] = 20.0 * rng.choice([-1.0, 1.0], size=mask.sum())
-        game = iterated_game(STAGES[k % len(STAGES)], 0.96)
+        gamma = gammas[(k // len(STAGES)) % len(gammas)]
+        game = iterated_game(STAGES[k % len(STAGES)], gamma)
         yield game, memory1_policy(thetas[0]), memory1_policy(thetas[1])
+
+
+class TestGradientOracle:
+    def test_matches_the_per_logit_loop(self):
+        pairs = seeded_logit_pairs(200, 33, gammas=(0.5, 0.9, 0.96, 0.99))
+        for game, a, b in pairs:
+            got = np.concatenate(value_gradients(game, a, b))
+            want = np.concatenate(reference_value_gradients(game, a, b))
+            assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
 
 
 class TestLolaCrossTerm:
