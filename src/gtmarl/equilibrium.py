@@ -168,7 +168,23 @@ def _incentive_rows(actions, payoffs) -> tuple[np.ndarray, tuple]:
     return inc, labels
 
 
-def solve_ce_distribution(actions, payoffs_flat, objective: str) -> np.ndarray:
+def ce_start_bases(actions, agents: int, objective: str) -> np.ndarray:
+    """The basis _simplex starts each LP of solve_ce_distribution from, one
+    row per weight vector: the slack of each <= row and the mass row's
+    artificial. It holds an artificial, so a solve passed it runs cold and
+    leaves its optimal basis in the row."""
+    incentive = sum(k * (k - 1) for k in actions)
+    count = joint_count(actions)
+    if objective == EGALITARIAN:
+        # the floor rows follow the mass row; the artificial comes after their slacks
+        start = count + 2 + np.r_[np.arange(incentive), incentive + agents,
+                                  incentive + np.arange(agents)]
+    else:
+        start = count + np.arange(incentive + 1)
+    return np.tile(start, (agents if objective == PLUTOCRATIC else 1, 1))
+
+
+def solve_ce_distribution(actions, payoffs_flat, objective: str, bases=None) -> np.ndarray:
     """Optimal correlated distribution over flat joint actions for raw payoff
     vectors. Shared by correlated_eq_solve and the correlated-Q learner.
 
@@ -176,7 +192,13 @@ def solve_ce_distribution(actions, payoffs_flat, objective: str) -> np.ndarray:
     Utilitarian maximizes the summed payoffs, plutocratic each agent's in
     turn (the first best wins), and egalitarian a free floor z <= u_i'lambda.
     The rows and columns are in the order solve_lp would reduce them to.
-    The answer breaks no incentive row by more than FEAS_TOL, or it raises."""
+    The answer breaks no incentive row by more than FEAS_TOL, or it raises.
+
+    bases, when given, holds one start basis per LP solved (a row per agent
+    for plutocratic, one row otherwise; ce_start_bases gives the cold ones):
+    each LP is read from its row while that basis stays optimal, and the row
+    is left holding the basis its answer came from. The correlated-Q learner
+    keeps one per state; without bases every LP starts cold."""
     actions = tuple(int(k) for k in actions)
     count = joint_count(actions)
     if count > MAX_JOINT_ACTIONS:
@@ -200,7 +222,10 @@ def solve_ce_distribution(actions, payoffs_flat, objective: str) -> np.ndarray:
         weights = [np.sum(u, axis=0)]
     else:
         weights = list(u)
-    solved = [(c, _solve_standard(a, senses, b, c, "CE LP")[0]) for c in weights]
+    if bases is None:
+        bases = [None] * len(weights)
+    solved = [(c, _solve_standard(a, senses, b, c, "CE LP", basis)[0])
+              for c, basis in zip(weights, bases)]
     lam = max(solved, key=lambda cx: cx[0] @ cx[1])[1][:count]
     lam = np.where(lam > 0.0, lam, 0.0)
     total = lam.sum()

@@ -5,7 +5,8 @@ bootstraps through per-state stage games built from the current joint Q
 values. Each learner supplies only its stage solve: the zero-sum LP value
 and maximin mixtures for minimax-Q, a correlated-equilibrium distribution
 for correlated-Q. Stage solutions are cached per state (StageCache) and
-invalidated whenever that state's Q row changes.
+invalidated whenever that state's Q row changes; each state's stage LPs
+start again from the bases its last solve ended on.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import UTILITARIAN, solve_ce_distribution, stage_minimax
+from .equilibrium import UTILITARIAN, ce_start_bases, solve_ce_distribution, stage_minimax
 from .errors import NumericalError, SpecError, check_recorded
 from .games import MatrixGame, StochasticGame, require_kind, strides
 
@@ -195,16 +196,21 @@ def shapley_value_iteration(
 
 # --- the stage-game Q-learning loop -----------------------------------------
 
-def _stage_q_loop(game, schedule, record_every, q, solve, extra=lambda cache, step: ()):
+def _stage_q_loop(game, schedule, record_every, q, solve, extra=lambda cache, step: (),
+                  extra_columns=0):
     """The Q-learning loop of minimax-Q and correlated-Q; table i of q
     learns from reward table i. solve(s) gives state s's stage solution
     under the current q as (each table's stage value, cumulatives, policy);
     each cumulative draws one digit of the joint action, most significant
     first, or epsilon-uniform exploration does. extra(cache, step) gives the
-    curve columns after the mean rewards. Returns (curve, final policy per
-    state, cache)."""
-    if record_every is not None and record_every < 1:
-        raise SpecError("record_every must be at least 1")
+    extra_columns curve columns after the mean rewards. A curve of more than
+    MAX_RECORDED_ENTRIES entries is refused before the first step. Returns
+    (curve, final policy per state, cache)."""
+    if record_every is not None:
+        if record_every < 1:
+            raise SpecError("record_every must be at least 1")
+        check_recorded(schedule.max_steps // record_every * (1 + len(q) + extra_columns),
+                       steps=schedule.max_steps, record_every=record_every)
     states = game.num_states
     rewards = game.rewards[:len(q)]
     p_cum = np.cumsum(game.transition, axis=2)
@@ -284,7 +290,7 @@ def minimax_q_train(
         values = np.array([cache.get(ss, step)[0][0] for ss in range(game.num_states)])
         return (float(np.max(np.abs(values - oracle_values))),)
 
-    curve, final, cache = _stage_q_loop(game, schedule, record_every, (q,), solve, sup_error)
+    curve, final, cache = _stage_q_loop(game, schedule, record_every, (q,), solve, sup_error, 1)
     values, policies, opponent_policies = (np.array(part) for part in zip(*final))
     return MinimaxQResult(
         q=QTables((q.copy(),)),
@@ -316,13 +322,17 @@ def correlated_q_train(
 ) -> CorrelatedQResult:
     """General-sum correlated-Q: the joint action is sampled from a shared
     correlated-equilibrium distribution of the per-state stage game; each
-    agent bootstraps with the stage expectation of its own Q."""
+    agent bootstraps with the stage expectation of its own Q. Each state's
+    CE LPs (one per agent for plutocratic) start from the bases of its last
+    stage solve."""
     _require_stochastic(game, zero_sum=False, two_player=False)
     q = tuple(np.zeros((game.num_states, game.joint_actions)) for _ in game.rewards)
+    bases = np.tile(ce_start_bases(game.actions, game.num_agents, objective),
+                    (game.num_states, 1, 1))
 
     def solve(s: int):
         payoffs = [table[s] for table in q]
-        dist = solve_ce_distribution(game.actions, payoffs, objective)
+        dist = solve_ce_distribution(game.actions, payoffs, objective, bases[s])
         return [float(dist @ u) for u in payoffs], (np.cumsum(dist),), dist
 
     curve, final, cache = _stage_q_loop(game, schedule, record_every, q, solve)

@@ -15,11 +15,11 @@ Bland's rule (lowest eligible index for both the entering and the leaving
 variable) makes the pivot sequence deterministic and cycle-free.
 
 A solve starts from a given basis only when its caller passes one to
-_solve_standard, for a program with <= rows only: stage_minimax does so for
-the learners, which keep each state's last optimal basis. If that basis is
-still optimal, _basis_solution reads the answer from it with no pivot; any
-other basis, and every call without one (solve_lp, the CE LP, a one-shot
-stage_minimax), runs the core from the slack basis.
+_solve_standard: stage_minimax and solve_ce_distribution do so for the
+learners, which keep each state's last optimal basis of each stage LP. If
+that basis is still optimal, _basis_solution reads the answer from it with
+no pivot; any other basis, and every call without one (solve_lp, a one-shot
+stage_minimax or CE solve), runs the core from its starting basis.
 """
 
 from __future__ import annotations
@@ -301,20 +301,27 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
     return LpSolution(OPTIMAL, x, float(lp.objective @ x), duals[:m] * row_signs[:m])
 
 
-def _basis_solution(a, b, c, basis) -> tuple[np.ndarray, np.ndarray] | None:
-    """x and the row multipliers of max c @ x s.t. a @ x <= b, x >= 0 at a
-    given basis, or None unless that basis is optimal.
+def _basis_solution(a, senses, b, c, basis) -> tuple[np.ndarray, np.ndarray] | None:
+    """x and the row multipliers of max c @ x s.t. a @ x (<= | ==) b, x >= 0
+    at a given basis, or None unless that basis is optimal.
 
-    Columns are numbered as in _simplex's tableau, the slack of row i at
-    a.shape[1] + i. The basis matrix is built from the original columns and
-    inverted once, so x_B = B^-1 b and the multipliers y = c_B B^-1 carry no
-    pivoting history. The basis is optimal when x_B >= 0 and every reduced
-    cost (y @ a - c, and y itself at the slacks) is at least -PIVOT_TOL, the
-    test that ends _run_phase; a singular basis matrix is not optimal. A
-    scalar b or c stands for a constant vector."""
+    Columns are numbered as in _simplex's tableau: the structural columns,
+    then one slack per <= row in row order (an == row has none); a higher
+    index is an artificial, and a basis holding one is not optimal. The
+    basis matrix is built from the original columns and inverted once, so
+    x_B = B^-1 b and the multipliers y = c_B B^-1 carry no pivoting history.
+    The basis is optimal when x_B >= 0 and every reduced cost (y @ a - c,
+    and y itself at the slacks; an == row's multiplier is free) is at least
+    -PIVOT_TOL, the test that ends _run_phase; a singular basis matrix is not
+    optimal. A scalar b or c stands for a constant vector."""
     m, n = a.shape
-    columns = np.concatenate((a, np.eye(m)), axis=1)
-    costs = np.zeros(n + m)
+    slacks = np.eye(m)
+    if EQUAL in senses:
+        slacks = slacks[:, [s != EQUAL for s in senses]]
+        if basis.max() >= n + slacks.shape[1]:
+            return None
+    columns = np.concatenate((a, slacks), axis=1)
+    costs = np.zeros(columns.shape[1])
     costs[:n] = c
     factor = columns[:, basis]
     try:
@@ -328,7 +335,7 @@ def _basis_solution(a, b, c, basis) -> tuple[np.ndarray, np.ndarray] | None:
     x_basic += inverse @ (rhs - factor @ x_basic)
     duals = c_basic @ inverse
     duals += (c_basic - duals @ factor) @ inverse
-    x = np.zeros(n + m)
+    x = np.zeros(columns.shape[1])
     x[basis] = x_basic
     if x.min() < 0.0 or (duals @ columns - costs).min() < -PIVOT_TOL:
         return None
@@ -341,10 +348,10 @@ def _solve_standard(a, senses, b, c, what: str, basis=None) -> tuple[np.ndarray,
     solve ends optimal at a point within FEAS_TOL of every row and of x >= 0;
     returns x and the row multipliers.
 
-    basis (<= rows only) is tried first by _basis_solution, and _simplex
-    runs only if it is not optimal; it is left holding the basis the answer
-    came from."""
-    found = None if basis is None else _basis_solution(a, b, c, basis)
+    basis (one tableau column per row, numbered as in _basis_solution) is
+    tried first by _basis_solution, and _simplex runs only if it is not
+    optimal; it is left holding the basis the answer came from."""
+    found = None if basis is None else _basis_solution(a, senses, b, c, basis)
     if found is not None:
         x, duals = found
     else:

@@ -360,6 +360,32 @@ class TestExitCodes:
             f"{errors.MAX_RECORDED_ENTRIES}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, game, columns", [
+        ("minimax-q", "random:zs-stoch:2:2x2:0.9", 3),
+        ("ce-q", "random:stoch:2:2x2:0.9", 3),
+        ("ce-q", "random:stoch:2:2x2x2:0.9", 4),
+    ])
+    def test_stage_q_curve_over_the_recording_cap(self, method, game, columns, monkeypatch,
+                                                  tmp_path, capsys):
+        def no_steps(*args, **kwargs):
+            pytest.fail("the learner took a step before bounding its curve")
+
+        monkeypatch.setattr(learners, "_epsilon", no_steps)
+        steps, every = 10**11, 1
+        out = tmp_path / "od"
+        rc = run(["learn", method, "--game", game, "--steps", steps, "--record-every", every,
+                  "--seed", 1, "--out", out])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: steps {steps}, record_every {every}: {columns * steps} entries to record "
+            f"exceed the cap {errors.MAX_RECORDED_ENTRIES}\n")
+        assert not out.exists()
+        # at the cap the run goes ahead
+        steps, every = 10**7, columns
+        with pytest.raises(pytest.fail.Exception, match="took a step"):
+            run(["learn", method, "--game", game, "--steps", steps, "--record-every", every,
+                 "--seed", 1, "--out", out])
+
     def test_recording_cap_is_inclusive(self):
         errors.check_recorded(errors.MAX_RECORDED_ENTRIES, steps=1)
         with pytest.raises(SpecError, match="^steps 1: 10000001 entries to record"):

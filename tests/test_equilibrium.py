@@ -17,6 +17,7 @@ from gtmarl.equilibrium import (
     UTILITARIAN,
     best_response,
     ce_check,
+    ce_start_bases,
     ce_violations,
     correlated_eq_solve,
     epsilon_nash_check,
@@ -383,7 +384,7 @@ class TestWarmStart:
         assert y == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_corrupted_warm_answer_fails_the_feasibility_check(self, monkeypatch):
-        def corrupt(a, b, c, basis):
+        def corrupt(a, senses, b, c, basis):
             return np.full(a.shape[1], 5.0), np.ones(a.shape[0])  # q = 5 breaks every row
 
         monkeypatch.setattr(linprog, "_basis_solution", corrupt)
@@ -698,7 +699,7 @@ def break_ce_incentives(monkeypatch):
 
     monkeypatch.setattr(equilibrium, "_incentive_rows", rows_with_a_breach)
     monkeypatch.setattr(equilibrium, "_solve_standard",
-                        lambda a, senses, b, c, what: (np.eye(a.shape[1])[0], None))
+                        lambda a, senses, b, c, what, basis: (np.eye(a.shape[1])[0], None))
 
 
 class TestCeLayer:
@@ -749,6 +750,136 @@ class TestCeLayer:
         break_ce_incentives(monkeypatch)
         with pytest.raises(NumericalError, match=r"^stage CE violates incentives by 0\.5$"):
             solve_ce_distribution((2, 2), CHICKEN, objective)
+
+
+CE_WARM_SHAPES = ((2,), (1, 1), (2, 2), (3, 2), (3, 3), (2, 2, 2))
+
+
+@st.composite
+def ce_update_sequences(draw):
+    """A stage game of one of CE_WARM_SHAPES, an objective, and two to
+    twelve successors, each moving one joint action's payoffs (every agent's
+    entry, as a correlated-Q update moves one entry of every table) part of
+    the way to a target. Payoffs are real or small integers (ties,
+    degenerate vertices)."""
+    actions = draw(st.sampled_from(CE_WARM_SHAPES))
+    objective = draw(st.sampled_from(CE_OBJECTIVES))
+    integer = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def fresh(size):
+        return rng.integers(-2, 3, size).astype(float) if integer else rng.uniform(-10, 10, size)
+
+    u = fresh((len(actions), joint_count(actions)))
+    games = [u]
+    for _ in range(draw(st.integers(2, 12))):
+        u = u.copy()
+        j = rng.integers(u.shape[1])
+        u[:, j] += (1.0 if integer else rng.choice((0.5, 0.1, 1e-3))) * (fresh(len(actions)) - u[:, j])
+        games.append(u)
+    return actions, objective, games
+
+
+def ce_value(u, lam, objective):
+    values = u @ lam
+    return {UTILITARIAN: values.sum(), EGALITARIAN: values.min(), PLUTOCRATIC: values.max()}[objective]
+
+
+def highs_ce_value(actions, u, objective):
+    """The optimal CE welfare by scipy.optimize.linprog (HiGHS) over the
+    reference incentive rows, with the egalitarian floor as a free column."""
+    optimize = pytest.importorskip("scipy.optimize")
+    inc, _ = reference_incentive_rows(actions, u)
+    agents, count = u.shape
+    if objective == EGALITARIAN:
+        a_ub = np.block([[-inc, np.zeros((inc.shape[0], 1))], [-u, np.ones((agents, 1))]])
+        ref = optimize.linprog(np.append(np.zeros(count), -1.0), A_ub=a_ub,
+                               b_ub=np.zeros(a_ub.shape[0]), A_eq=[np.append(np.ones(count), 0.0)],
+                               b_eq=[1.0], bounds=[(0, None)] * count + [(None, None)],
+                               method="highs")
+        assert ref.status == 0
+        return -ref.fun
+    best = -np.inf
+    for c in ([u.sum(axis=0)] if objective == UTILITARIAN else u):
+        ref = optimize.linprog(-c, A_ub=-inc if inc.size else None,
+                               b_ub=np.zeros(inc.shape[0]) if inc.size else None,
+                               A_eq=np.ones((1, count)), b_eq=[1.0], method="highs")
+        assert ref.status == 0
+        best = max(best, -ref.fun)
+    return best
+
+
+class TestCeWarmStart:
+    """solve_ce_distribution with carried bases, as correlated-Q calls it:
+    each answer is a CE of its game with the optimal welfare."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ce_update_sequences())
+    def test_carried_bases_agree_with_cold_solves(self, sequence):
+        actions, objective, games = sequence
+        bases = ce_start_bases(actions, len(actions), objective)
+        for u in games:
+            warm = ce_outcome(lambda *args: solve_ce_distribution(*args, bases), actions, u,
+                              objective)
+            cold = ce_outcome(solve_ce_distribution, actions, u, objective)
+            if cold[0] == "error":
+                continue  # a CE LP the cold simplex fails on (ROADMAP item 1)
+            assert warm[0] == "ok", warm
+            lam = np.frombuffer(warm[1])
+            assert ce_violations(actions, u, lam)[0] <= linprog.FEAS_TOL
+            value = ce_value(u, lam, objective)
+            assert abs(value - ce_value(u, np.frombuffer(cold[1]), objective)) <= 1e-9 * (
+                1.0 + abs(value))
+        if cold[0] == "ok":
+            ref = highs_ce_value(actions, games[-1], objective)
+            assert abs(value - ref) <= 1e-7 * (1.0 + abs(ref))
+
+    def test_start_bases_are_the_simplex_start(self, monkeypatch):
+        """ce_start_bases is the basis _simplex starts each CE LP from."""
+        started = []
+        run_phase = linprog._run_phase
+
+        def first_basis(tab, basis, *args):
+            started.append(basis.copy())
+            return run_phase(tab, basis, *args)
+
+        monkeypatch.setattr(linprog, "_run_phase", first_basis)
+        rng = np.random.default_rng(4)
+        for actions in CE_WARM_SHAPES:
+            for objective in CE_OBJECTIVES:
+                started.clear()
+                solve_ce_distribution(actions, rng.normal(size=(len(actions), joint_count(actions))),
+                                      objective)
+                bases = ce_start_bases(actions, len(actions), objective)
+                assert bases.shape[0] == (len(actions) if objective == PLUTOCRATIC else 1)
+                assert all(np.array_equal(started[0], start) for start in bases)
+
+    def test_correlated_q_solves_few_ce_lps_cold(self, monkeypatch):
+        """Carried bases leave the simplex to at most a third of the CE LPs
+        of correlated-Q, and the run ends where a run without them does."""
+        cold_runs = [0]
+        simplex = linprog._simplex
+
+        def counted(*args, **kwargs):
+            cold_runs[0] += 1
+            return simplex(*args, **kwargs)
+
+        game = random_game(3, (2, 2), num_states=2, discount=0.9)
+        schedule = LearningSchedule(max_steps=1500, seed=1)
+        for objective in CE_OBJECTIVES:
+            monkeypatch.setattr(linprog, "_simplex", counted)
+            cold_runs[0] = 0
+            res = correlated_q_train(game, objective, schedule)
+            lps = res.stage_misses * (game.num_agents if objective == PLUTOCRATIC else 1)
+            assert cold_runs[0] <= lps / 3
+            monkeypatch.setattr(linprog, "_simplex", simplex)
+            monkeypatch.setattr(learners, "solve_ce_distribution",
+                                lambda *args: solve_ce_distribution(*args[:3]))
+            ref = correlated_q_train(game, objective, schedule)
+            monkeypatch.undo()
+            for got, want in zip(res.q.tables, ref.q.tables):
+                assert np.allclose(got, want, rtol=0.0, atol=1e-9)
+            assert np.allclose(res.stage_policies, ref.stage_policies, rtol=0.0, atol=1e-9)
 
 
 def test_stage_solvers_and_learners_bypass_the_general_solver(monkeypatch):

@@ -8,14 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtmarl import linprog
 from gtmarl.errors import NumericalError, SimplexIterationError, SpecError
 from gtmarl.linprog import (
     EQUAL,
     FEAS_TOL,
     GREATER,
     LESS,
+    OPTIMAL,
     LinearProgram,
     Violation,
+    _basis_solution,
+    _simplex,
+    _solve_standard,
     check_feasible,
     linear_program,
     solve_lp,
@@ -372,3 +377,49 @@ class TestAgainstHighs:
         assert sol.status == "optimal" and ref.status == 0
         assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-9)
         assert sol.x == pytest.approx([0.5, 0.5, 0.0], abs=1e-9)
+
+
+class TestBasisSolutionWithEqualityRow:
+    """_basis_solution on a hand-made program with an == row:
+        max -x0 - 2 x1 - 3 x2  s.t.  x1 + 2 x2 <= 0.6,  x0 + x1 + 2 x2 == 1,  x >= 0.
+    Columns as in _simplex: x0..x2 are 0..2, the slack of row 0 is 3, and the
+    == row has no slack; its artificial would be 4. The optimum is x0 = 1
+    with basis [3, 0], where the == row's multiplier is -1: it is free, so
+    no test may ask it to be nonnegative."""
+
+    a = np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 2.0]])
+    senses = (LESS, EQUAL)
+    b = np.array([0.6, 1.0])
+    c = np.array([-1.0, -2.0, -3.0])
+
+    def solve(self, basis):
+        return _basis_solution(self.a, self.senses, self.b, self.c, np.array(basis))
+
+    def test_accepts_the_optimal_basis(self):
+        x, duals = self.solve([3, 0])
+        assert x.tolist() == [1.0, 0.0, 0.0]
+        assert duals.tolist() == [0.0, -1.0]
+        status, cold_x, cold_duals, cold_basis = _simplex(self.a, self.senses, self.b, self.c)
+        assert status == OPTIMAL and cold_basis.tolist() == [3, 0]
+        assert np.array_equal(x, cold_x) and np.array_equal(duals, cold_duals)
+
+    @pytest.mark.parametrize("basis", [
+        [3, 1],  # x1 = 1 leaves the slack of row 0 at -0.4
+        [1, 0],  # x = (0.4, 0.6, 0): feasible, but the slack's reduced cost is -1
+        [1, 2],  # columns 1 and 2 are parallel: a singular basis matrix
+        [3, 4],  # the == row's artificial: _simplex's starting basis
+    ], ids=["primal-infeasible", "dual-infeasible", "singular", "artificial"])
+    def test_refuses_a_basis_that_is_not_optimal(self, basis):
+        assert self.solve(basis) is None
+
+    def test_solve_standard_falls_back_and_keeps_the_cold_basis(self, monkeypatch):
+        basis = np.array([3, 4])
+        x, _ = _solve_standard(self.a, self.senses, self.b, self.c, "test LP", basis)
+        assert x.tolist() == [1.0, 0.0, 0.0] and basis.tolist() == [3, 0]
+
+        def forbidden_simplex(*args, **kwargs):
+            raise AssertionError("the simplex ran although the start basis was optimal")
+
+        monkeypatch.setattr(linprog, "_simplex", forbidden_simplex)
+        x, _ = _solve_standard(self.a, self.senses, self.b * 2.0, self.c, "test LP", basis)
+        assert x.tolist() == [2.0, 0.0, 0.0] and basis.tolist() == [3, 0]
