@@ -224,6 +224,9 @@ def solve_ce_distribution(actions, payoffs_flat, objective: str, bases=None) -> 
         weights = list(u)
     if bases is None:
         bases = [None] * len(weights)
+    elif np.shape(bases) != (len(weights), len(senses)):
+        raise SpecError(f"bases of shape {np.shape(bases)} for {len(weights)} CE LPs "
+                        f"of {len(senses)} rows")
     solved = [(c, _solve_standard(a, senses, b, c, "CE LP", basis)[0])
               for c, basis in zip(weights, bases)]
     lam = max(solved, key=lambda cx: cx[0] @ cx[1])[1][:count]

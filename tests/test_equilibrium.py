@@ -854,6 +854,15 @@ class TestCeWarmStart:
                 assert bases.shape[0] == (len(actions) if objective == PLUTOCRATIC else 1)
                 assert all(np.array_equal(started[0], start) for start in bases)
 
+    @pytest.mark.parametrize("objective, shape", [
+        (PLUTOCRATIC, (1, 5)),  # one basis for two LPs
+        (UTILITARIAN, (1, 4)),  # a row short
+        (EGALITARIAN, (1, 5)),  # without the floor rows
+    ])
+    def test_bases_must_fit_the_lps(self, objective, shape):
+        with pytest.raises(SpecError, match=rf"^bases of shape \({shape[0]}, {shape[1]}\) for"):
+            solve_ce_distribution((2, 2), CHICKEN, objective, np.zeros(shape, dtype=int))
+
     def test_correlated_q_solves_few_ce_lps_cold(self, monkeypatch):
         """Carried bases leave the simplex to at most a third of the CE LPs
         of correlated-Q, and the run ends where a run without them does."""
