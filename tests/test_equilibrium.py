@@ -775,14 +775,16 @@ def ce_update_sequences(draw):
     for _ in range(draw(st.integers(2, 12))):
         u = u.copy()
         j = rng.integers(u.shape[1])
-        u[:, j] += (1.0 if integer else rng.choice((0.5, 0.1, 1e-3))) * (fresh(len(actions)) - u[:, j])
+        step = 1.0 if integer else rng.choice((0.5, 0.1, 1e-3))
+        u[:, j] += step * (fresh(len(actions)) - u[:, j])
         games.append(u)
     return actions, objective, games
 
 
 def ce_value(u, lam, objective):
     values = u @ lam
-    return {UTILITARIAN: values.sum(), EGALITARIAN: values.min(), PLUTOCRATIC: values.max()}[objective]
+    return {UTILITARIAN: values.sum(), EGALITARIAN: values.min(),
+            PLUTOCRATIC: values.max()}[objective]
 
 
 def highs_ce_value(actions, u, objective):
@@ -823,7 +825,7 @@ class TestCeWarmStart:
                               objective)
             cold = ce_outcome(solve_ce_distribution, actions, u, objective)
             if cold[0] == "error":
-                continue  # a CE LP the cold simplex fails on (ROADMAP item 1)
+                continue  # a feasible CE LP the cold simplex fails on (test_known_ce_lp_failures)
             assert warm[0] == "ok", warm
             lam = np.frombuffer(warm[1])
             assert ce_violations(actions, u, lam)[0] <= linprog.FEAS_TOL
@@ -848,8 +850,8 @@ class TestCeWarmStart:
         for actions in CE_WARM_SHAPES:
             for objective in CE_OBJECTIVES:
                 started.clear()
-                solve_ce_distribution(actions, rng.normal(size=(len(actions), joint_count(actions))),
-                                      objective)
+                u = rng.normal(size=(len(actions), joint_count(actions)))
+                solve_ce_distribution(actions, u, objective)
                 bases = ce_start_bases(actions, len(actions), objective)
                 assert bases.shape[0] == (len(actions) if objective == PLUTOCRATIC else 1)
                 assert all(np.array_equal(started[0], start) for start in bases)
