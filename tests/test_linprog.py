@@ -381,7 +381,7 @@ class TestAgainstHighs:
 
 class TestBasisSolutionWithEqualityRow:
     """_basis_solution on a hand-made program with an == row:
-        max -x0 - 2 x1 - 3 x2  s.t.  x1 + 2 x2 <= 0.6,  x0 + x1 + 2 x2 == 1,  x >= 0.
+        max -x0 - 2 x1 - 5 x2  s.t.  x1 + 2 x2 <= 0.6,  x0 + x1 + 2 x2 == 1,  x >= 0.
     Columns as in _simplex: x0..x2 are 0..2, the slack of row 0 is 3, and the
     == row has no slack; its artificial would be 4. The optimum is x0 = 1
     with basis [3, 0], where the == row's multiplier is -1: it is free, so
@@ -390,7 +390,7 @@ class TestBasisSolutionWithEqualityRow:
     a = np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 2.0]])
     senses = (LESS, EQUAL)
     b = np.array([0.6, 1.0])
-    c = np.array([-1.0, -2.0, -3.0])
+    c = np.array([-1.0, -2.0, -5.0])
 
     def solve(self, basis):
         return _basis_solution(self.a, self.senses, self.b, self.c, np.array(basis))
@@ -406,6 +406,7 @@ class TestBasisSolutionWithEqualityRow:
     @pytest.mark.parametrize("basis", [
         [3, 1],  # x1 = 1 leaves the slack of row 0 at -0.4
         [1, 0],  # x = (0.4, 0.6, 0): feasible, but the slack's reduced cost is -1
+        #          (every structural reduced cost is >= 0)
         [1, 2],  # columns 1 and 2 are parallel: a singular basis matrix
         [3, 4],  # the == row's artificial: _simplex's starting basis
     ], ids=["primal-infeasible", "dual-infeasible", "singular", "artificial"])
