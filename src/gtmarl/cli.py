@@ -194,7 +194,7 @@ def _get(cfg: dict, key: str, cast, default):
         return default
     try:
         return cast(cfg[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GameFormatError(f"config field {key!r}: {exc}")
 
 

@@ -42,8 +42,10 @@ def population_state(x) -> PopulationState:
         raise SpecError("population state has non-finite entries")
     if v.min() < NEGATIVE_DRIFT_TOL:
         raise SpecError(f"population state has negative mass {v.min():g}")
-    if abs(v.sum() - 1.0) > 1e-9:
-        raise SpecError(f"population state sums to {v.sum():.17g}")
+    with np.errstate(over="ignore"):  # finite entries may still sum to inf
+        total = v.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise SpecError(f"population state sums to {total:.17g}")
     v = np.where(v > 0.0, v, 0.0)
     v = v / v.sum()
     v.setflags(write=False)

@@ -4,9 +4,9 @@ Minimax-Q and correlated-Q share one stage-Q loop: Q-learning that
 bootstraps through per-state stage games built from the current joint Q
 values. Each learner supplies only its stage solve: the zero-sum LP value
 and maximin mixtures for minimax-Q, a correlated-equilibrium distribution
-for correlated-Q. Stage solutions are cached per state (StageCache) and
-invalidated whenever that state's Q row changes; each state's stage LPs
-start again from the bases its last solve ended on.
+for correlated-Q. Each state is solved once before the first step and again
+right after each update of its Q row; each state's stage LPs start again
+from the bases its last solve ended on.
 """
 
 from __future__ import annotations
@@ -118,35 +118,6 @@ def _solve_stage(s: int, unit: str, count: int, solve, *args):
         raise NumericalError(f"stage solve failed at state {s}, {unit} {count}: {exc}") from exc
 
 
-class StageCache:
-    """Stage-game solutions per state, solved again only after invalidate.
-
-    solve(s) computes state s's solution from the learner's current Q
-    tables; the learners' solve functions look up stage_minimax and
-    solve_ce_distribution by module name at call time. get counts hits and
-    misses; a NumericalError of a solve names its state and step.
-    """
-
-    def __init__(self, states: int, solve):
-        self._solve = solve
-        self.valid = np.zeros(states, dtype=bool)
-        self.entries: list = [None] * states
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, s: int, step: int):
-        if self.valid[s]:
-            self.hits += 1
-            return self.entries[s]
-        self.misses += 1
-        self.entries[s] = _solve_stage(s, "step", step, self._solve, s)
-        self.valid[s] = True
-        return self.entries[s]
-
-    def invalidate(self, s: int) -> None:
-        self.valid[s] = False
-
-
 def _slack_bases(game: StochasticGame) -> np.ndarray:
     """One stage_minimax start basis per state, each the slack basis; each
     stage solve leaves its state's optimal basis in its row for the next."""
@@ -196,16 +167,18 @@ def shapley_value_iteration(
 
 # --- the stage-game Q-learning loop -----------------------------------------
 
-def _stage_q_loop(game, schedule, record_every, q, solve, extra=lambda cache, step: (),
+def _stage_q_loop(game, schedule, record_every, q, solve, extra=lambda stage: (),
                   extra_columns=0):
     """The Q-learning loop of minimax-Q and correlated-Q; table i of q
     learns from reward table i. solve(s) gives state s's stage solution
     under the current q as (each table's stage value, cumulatives, policy);
     each cumulative draws one digit of the joint action, most significant
-    first, or epsilon-uniform exploration does. extra(cache, step) gives the
-    extra_columns curve columns after the mean rewards. A curve of more than
-    MAX_RECORDED_ENTRIES entries is refused before the first step. Returns
-    (curve, final policy per state, cache)."""
+    first, or epsilon-uniform exploration does. Each state is solved before
+    step 1 and right after each update of its Q row; a NumericalError names
+    the state and the step (0 before step 1). extra(stage) gives, from the
+    solutions per state, the extra_columns curve columns after the mean
+    rewards. A curve of more than MAX_RECORDED_ENTRIES entries is refused
+    before the first step. Returns (curve, final policy per state)."""
     if record_every is not None:
         if record_every < 1:
             raise SpecError("record_every must be at least 1")
@@ -215,7 +188,6 @@ def _stage_q_loop(game, schedule, record_every, q, solve, extra=lambda cache, st
     rewards = game.rewards[:len(q)]
     p_cum = np.cumsum(game.transition, axis=2)
     rng = np.random.default_rng(schedule.seed)
-    cache = StageCache(states, solve)
     visits_sa = np.zeros(q[0].shape, dtype=np.int64)
     visits_s = np.zeros(states, dtype=np.int64)
 
@@ -223,6 +195,7 @@ def _stage_q_loop(game, schedule, record_every, q, solve, extra=lambda cache, st
     reward_sum = np.zeros(len(q))
     reward_n = 0
     s = int(rng.integers(states))
+    stage = [_solve_stage(ss, "step", 0, solve, ss) for ss in range(states)]
     for t in range(schedule.max_steps):
         if (
             schedule.episode_length is not None
@@ -233,25 +206,24 @@ def _stage_q_loop(game, schedule, record_every, q, solve, extra=lambda cache, st
         eps = _epsilon(schedule, int(visits_s[s]))
         visits_s[s] += 1
         j = 0
-        for cum in cache.get(s, t + 1)[1]:
+        for cum in stage[s][1]:
             explore = rng.random() < eps
             j = j * cum.size + (int(rng.integers(cum.size)) if explore else _sample(rng, cum))
         s_next = _sample(rng, p_cum[s, j])
-        values = cache.get(s_next, t + 1)[0]
+        values = stage[s_next][0]
         alpha = _alpha(schedule, int(visits_sa[s, j]))
         visits_sa[s, j] += 1
         for i, (table, reward, value) in enumerate(zip(q, rewards, values)):
             table[s, j] += alpha * (reward[s, j] + game.discount * value - table[s, j])
             reward_sum[i] += reward[s, j]
-        cache.invalidate(s)
+        stage[s] = _solve_stage(s, "step", t + 1, solve, s)
         reward_n += 1
         if record_every and (t + 1) % record_every == 0:
-            curve.append((t + 1, *(reward_sum / reward_n), *extra(cache, t + 1)))
+            curve.append((t + 1, *(reward_sum / reward_n), *extra(stage)))
             reward_sum = np.zeros(len(q))
             reward_n = 0
         s = s_next
-    final = [cache.get(ss, schedule.max_steps)[2] for ss in range(states)]
-    return tuple(curve), final, cache
+    return tuple(curve), [entry[2] for entry in stage]
 
 
 # --- minimax-Q --------------------------------------------------------------
@@ -263,8 +235,6 @@ class MinimaxQResult:
     policies: np.ndarray            # agent 1 maximin mixture per state
     opponent_policies: np.ndarray   # agent 2 minimax mixture per state
     curve: tuple                    # (step, mean reward, sup value error) rows
-    stage_hits: int                 # StageCache counters of the run
-    stage_misses: int
 
 
 def minimax_q_train(
@@ -284,23 +254,15 @@ def minimax_q_train(
         v, x, y = stage_minimax(q[s].reshape(game.actions), bases[s])
         return (v,), (np.cumsum(x), np.cumsum(y)), (v, x, y)
 
-    def sup_error(cache: StageCache, step: int):
+    def sup_error(stage):
         if oracle_values is None:
             return (np.nan,)
-        values = np.array([cache.get(ss, step)[0][0] for ss in range(game.num_states)])
+        values = np.array([entry[0][0] for entry in stage])
         return (float(np.max(np.abs(values - oracle_values))),)
 
-    curve, final, cache = _stage_q_loop(game, schedule, record_every, (q,), solve, sup_error, 1)
+    curve, final = _stage_q_loop(game, schedule, record_every, (q,), solve, sup_error, 1)
     values, policies, opponent_policies = (np.array(part) for part in zip(*final))
-    return MinimaxQResult(
-        q=QTables((q.copy(),)),
-        values=values,
-        policies=policies,
-        opponent_policies=opponent_policies,
-        curve=curve,
-        stage_hits=cache.hits,
-        stage_misses=cache.misses,
-    )
+    return MinimaxQResult(QTables((q.copy(),)), values, policies, opponent_policies, curve)
 
 
 # --- correlated-Q -----------------------------------------------------------
@@ -310,8 +272,6 @@ class CorrelatedQResult:
     q: QTables
     stage_policies: np.ndarray  # per-state correlated distribution (states, joint)
     curve: tuple                # (step, mean reward per agent...) rows
-    stage_hits: int             # StageCache counters of the run
-    stage_misses: int
 
 
 def correlated_q_train(
@@ -335,14 +295,8 @@ def correlated_q_train(
         dist = solve_ce_distribution(game.actions, payoffs, objective, bases[s])
         return [float(dist @ u) for u in payoffs], (np.cumsum(dist),), dist
 
-    curve, final, cache = _stage_q_loop(game, schedule, record_every, q, solve)
-    return CorrelatedQResult(
-        q=QTables(tuple(t.copy() for t in q)),
-        stage_policies=np.array(final),
-        curve=curve,
-        stage_hits=cache.hits,
-        stage_misses=cache.misses,
-    )
+    curve, final = _stage_q_loop(game, schedule, record_every, q, solve)
+    return CorrelatedQResult(QTables(tuple(t.copy() for t in q)), np.array(final), curve)
 
 
 # --- regret matching --------------------------------------------------------

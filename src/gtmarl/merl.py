@@ -16,6 +16,7 @@ trajectory bit-identical whether or not gradient updates run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -336,6 +337,9 @@ class MerlConfig:
             raise SpecError("elite count must be in [1, population)")
         if self.generations < 1:
             raise SpecError("generations must be positive")
+        for name in ("epsilon_meet", "init_range", "alpha_q", "alpha_pi", "mutation_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise SpecError(f"{name} {getattr(self, name)} must be finite")
         if not 0.0 <= self.tau <= 1.0:
             raise SpecError("tau outside [0, 1]")
         if not 0.0 < self.gamma < 1.0:

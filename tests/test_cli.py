@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gtmarl import cli, errors, games, learners
+from gtmarl import cli, errors, games, learners, merl
 from gtmarl.cli import main
 from gtmarl.errors import NumericalError, SpecError
 from gtmarl.games import classic_game, game_to_dict, random_game, save_game
@@ -96,6 +96,18 @@ class TestStageErrorContext:
         assert re.search(r"stage solve failed at state \d, step \d+: "
                          r"value LP ended with status unbounded", err)
 
+    @pytest.mark.parametrize("number", [1, 2, 7])
+    def test_one_state_names_the_step_the_solve_follows(self, number, tmp_path, capsys,
+                                                        monkeypatch):
+        # call 1 is the solve before step 1; call k follows the update of step k - 1
+        monkeypatch.setattr(learners, "stage_minimax",
+                            fail_on_call(number, learners.stage_minimax))
+        rc = run(["learn", "minimax-q", "--game", "random:zs-stoch:1:2x2:0.9",
+                  "--steps", 20, "--seed", 1, "--out", tmp_path])
+        assert rc == 4
+        assert (f"stage solve failed at state 0, step {number - 1}: value LP ended with "
+                "status unbounded") in capsys.readouterr().err
+
     def test_shapley_oracle_names_state_and_sweep(self, tmp_path, capsys, monkeypatch):
         # three states per sweep: call 5 is state 1 of sweep 2
         monkeypatch.setattr(learners, "stage_minimax", fail_on_call(5, learners.stage_minimax))
@@ -110,7 +122,7 @@ class TestStageErrorContext:
         rc = run(["learn", "ce-q", "--game", "random:stoch:2:2x2:0.9",
                   "--steps", 20, "--seed", 1, "--out", tmp_path])
         assert rc == 4
-        assert re.search(r"stage solve failed at state \d, step 1: "
+        assert re.search(r"stage solve failed at state \d, step 0: "
                          r"stage CE violates incentives by 0\.5", capsys.readouterr().err)
 
     def test_solve_ce_incentive_error(self, tmp_path, capsys, monkeypatch):
@@ -286,6 +298,44 @@ class TestExitCodes:
                   "--config", cfg, "--seed", 0, "--out", out])
         assert rc == 3
         assert capsys.readouterr().err == f"error: eps must be finite and nonnegative, not {eps}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["episode_length", "steps"])
+    def test_config_integer_overflow(self, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{key}": 1e400}}')  # JSON reads 1e400 as infinity
+        out = tmp_path / "od"
+        rc = run(["learn", "minimax-q", "--game", "random:zs-stoch:2:2x2:0.9", "--seed", 1,
+                  "--config", cfg, "--out", out])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: config field {key!r}: cannot convert float infinity to integer\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", [
+        "epsilon_meet", "init_range", "alpha_q", "alpha_pi", "mutation_sigma"])
+    def test_merl_float_fields_must_be_finite(self, field, bad, tmp_path, capsys, monkeypatch):
+        rollouts = []
+        monkeypatch.setattr(merl, "rollout_team", lambda *args: rollouts.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: bad}))  # NaN and Infinity: Python's JSON extension
+        out = tmp_path / "od"
+        rc = run(["learn", "merl", "--generations", 2, "--population", 4, "--horizon", 8,
+                  "--seed", 7, "--config", cfg, "--out", out])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {field} {bad} must be finite\n"
+        assert rollouts == []
+        assert not out.exists()
+
+    def test_x0_whose_sum_overflows(self, tmp_path, capsys):
+        out = tmp_path / "od"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            rc = run(["learn", "replicator", "--game", "classic:rps",
+                      "--x0", "1e308,1e308,1e308", "--steps", 3, "--seed", 1, "--out", out])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: population state sums to inf\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("dt", ["inf", "-inf", "nan"])

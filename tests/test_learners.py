@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from gtmarl.equilibrium import ce_check, stage_minimax
+from gtmarl import learners
+from gtmarl.equilibrium import CE_OBJECTIVES, ce_check, stage_minimax
 from gtmarl.errors import SpecError
 from gtmarl.games import build_matrix_game, classic_game, make_stochastic_game, random_game
 from gtmarl.learners import (
@@ -146,15 +147,6 @@ class TestMinimaxQ:
         with pytest.raises(SpecError):
             minimax_q_train(general, LearningSchedule(max_steps=10))
 
-    def test_stage_cache_counts(self):
-        # one state: each step misses on its own state (stale after the last
-        # update) and hits on the next state; the final read misses once more
-        res = minimax_q_train(constant_reward_game(1.0, 0.9), LearningSchedule(max_steps=50))
-        assert (res.stage_hits, res.stage_misses) == (50, 51)
-        game = random_game(10, (2, 2), zero_sum=True, num_states=3, discount=0.9)
-        res = minimax_q_train(game, LearningSchedule(max_steps=200, seed=10))
-        assert res.stage_hits + res.stage_misses == 2 * 200 + 3
-
 
 class TestCorrelatedQ:
     def test_single_agent_matches_value_iteration(self):
@@ -189,11 +181,6 @@ class TestCorrelatedQ:
         stage = build_matrix_game((2, 2), [res.q.tables[i][0] for i in range(2)])
         assert ce_check(stage, res.stage_policies[0], 1e-3).passed
 
-    def test_stage_cache_counts(self):
-        res = correlated_q_train(single_agent_mdp(0.9), schedule=LearningSchedule(max_steps=40))
-        assert res.stage_hits + res.stage_misses == 2 * 40 + 2
-        assert res.stage_misses > 2  # more than the first solve of each state
-
     def test_curve_tracks_per_agent_rewards(self):
         game = random_game(8, (2, 2), num_states=2, discount=0.9)
         res = correlated_q_train(
@@ -201,6 +188,30 @@ class TestCorrelatedQ:
         )
         assert len(res.curve) == 2
         assert len(res.curve[0]) == 3  # step plus one mean reward per agent
+
+
+def test_one_stage_solve_per_state_and_per_step(monkeypatch):
+    """Each state is solved once before step 1 and once after each update:
+    max_steps + num_states stage solves, for minimax-Q and every CE objective."""
+    calls = [0]
+
+    def counting(real):
+        def solver(*args):
+            calls[0] += 1
+            return real(*args)
+        return solver
+
+    monkeypatch.setattr(learners, "stage_minimax", counting(learners.stage_minimax))
+    monkeypatch.setattr(learners, "solve_ce_distribution",
+                        counting(learners.solve_ce_distribution))
+    game = random_game(10, (2, 2), zero_sum=True, num_states=3, discount=0.9)
+    minimax_q_train(game, LearningSchedule(max_steps=200, seed=10))
+    assert calls[0] == 200 + 3
+    game = random_game(8, (2, 2), num_states=2, discount=0.9)
+    for objective in CE_OBJECTIVES:
+        calls[0] = 0
+        correlated_q_train(game, objective, LearningSchedule(max_steps=150, seed=3))
+        assert calls[0] == 150 + 2
 
 
 class TestRegretMatching:
