@@ -410,7 +410,8 @@ def _parse_x0(raw, size: int) -> np.ndarray:
 
 
 def _learn_minimax_q(run: _Run) -> _Outcome:
-    oracle = shapley_value_iteration(run.game).values if run.cfg.get("oracle") else None
+    shapley = shapley_value_iteration(run.game) if run.cfg.get("oracle") else None
+    oracle = None if shapley is None else shapley.values
     res = minimax_q_train(run.game, _schedule(run), run.record_every, oracle)
     result = {
         "values": res.values,
@@ -422,6 +423,7 @@ def _learn_minimax_q(run: _Run) -> _Outcome:
     if oracle is None:
         return result, lambda: write_csv(run.curve, header, [row[:2] for row in res.curve])
     result["oracle_values"] = oracle
+    result["oracle_sweeps"] = shapley.iterations
     result["sup_value_error"] = float(np.max(np.abs(res.values - oracle)))
     return result, lambda: write_csv(run.curve, header + ["sup_value_error"], res.curve)
 

@@ -111,8 +111,10 @@ def _distribution(values, what: str) -> np.ndarray:
     _raise_first(_nonfinite(what, vec))
     if vec.min() < -PROB_TOL:
         raise GameFormatError(f"{what} has negative mass {vec.min():g}")
-    if abs(vec.sum() - 1.0) > PROB_TOL:
-        raise GameFormatError(f"{what} sums to {vec.sum():.17g}, expected 1")
+    with np.errstate(over="ignore"):  # finite entries may still sum to inf
+        total = vec.sum()
+    if abs(total - 1.0) > PROB_TOL:
+        raise GameFormatError(f"{what} sums to {total:.17g}, expected 1")
     return _frozen(vec)
 
 

@@ -138,30 +138,50 @@ class ShapleyResult:
 def shapley_value_iteration(
     game: StochasticGame, tol: float = 1e-10, max_iterations: int = 200000
 ) -> ShapleyResult:
-    """Value iteration with a minimax stage solve per state; converges
-    gamma-linearly to the exact discounted value of the zero-sum game. Each
-    state's solve starts from the basis of its solve in the last sweep."""
+    """Shapley's value of the zero-sum game, by safeguarded policy iteration.
+
+    A sweep at v solves each state's stage game r1 + gamma P v with
+    stage_minimax, which gives T(v) (the stage values) and a stationary
+    pair of mixtures; each state's solve starts from the basis of its last
+    solve. Once max|T(v) - v| <= tol the sweep's T(v) and mixtures are
+    returned, and since T is a gamma-contraction they are within
+    gamma / (1 - gamma) * tol of the exact value. Otherwise the next v is
+    the exact value of the sweep's pair: one solve of (I - gamma P_xy) v =
+    r_xy (Pollatschek and Avi-Itzhak, 1969). That step can cycle, so a
+    point whose residual exceeds gamma times the last accepted one is
+    dropped and the kept T(v) of the last accepted point, a value-iteration
+    step, is swept instead. Each accepted point thus contracts at least as
+    value iteration does, in at most two sweeps. iterations counts sweeps,
+    and max_iterations bounds them."""
     _require_stochastic(game, zero_sum=True, two_player=True)
     if tol <= 0:
         raise SpecError("tol must be positive")
     k1, k2 = game.actions
     states = game.num_states
+    gamma = game.discount
     values = np.zeros(states)
     row_pol = np.zeros((states, k1))
     col_pol = np.zeros((states, k2))
     r1 = game.rewards[0]
     p = game.transition
     bases = _slack_bases(game)
+    evaluated = False
     for sweep in range(1, max_iterations + 1):
         new = np.empty(states)
         for s in range(states):
-            stage = (r1[s] + game.discount * (p[s] @ values)).reshape(k1, k2)
+            stage = (r1[s] + gamma * (p[s] @ values)).reshape(k1, k2)
             new[s], row_pol[s], col_pol[s] = _solve_stage(
                 s, "sweep", sweep, stage_minimax, stage, bases[s])
         delta = float(np.max(np.abs(new - values)))
-        values = new
         if delta <= tol:
-            return ShapleyResult(values, row_pol, col_pol, sweep)
+            return ShapleyResult(new, row_pol, col_pol, sweep)
+        if evaluated and delta > gamma * accepted:
+            values, evaluated = kept, False
+            continue
+        accepted, kept, evaluated = delta, new, True
+        joint = (row_pol[:, :, None] * col_pol[:, None, :]).reshape(states, -1)
+        values = np.linalg.solve(np.eye(states) - gamma * np.einsum("sj,sjt->st", joint, p),
+                                 np.einsum("sj,sj->s", joint, r1))
     raise NumericalError(f"value iteration did not reach {tol} in {max_iterations} sweeps")
 
 

@@ -540,6 +540,7 @@ class TestLearn:
         assert lines[0] == "step,mean_reward,sup_value_error"
         result = read_json(tmp_path / "minimax_q_result.json")
         assert "oracle_values" in result
+        assert isinstance(result["oracle_sweeps"], int) and 1 <= result["oracle_sweeps"] <= 10
         final_err = float(lines[-1].split(",")[2])
         assert final_err == pytest.approx(result["sup_value_error"], abs=1e-12)
 

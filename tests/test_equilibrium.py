@@ -393,7 +393,8 @@ class TestWarmStart:
 
     def test_learners_pivot_on_few_stage_solves(self, monkeypatch):
         """Carried bases leave the simplex to at most 5% of the stage solves
-        of minimax-Q and of Shapley's value iteration."""
+        of minimax-Q, and to at most one solve per state (the first sweep's)
+        in Shapley's value iteration, which takes only a few sweeps."""
         pivoted = [0]
         simplex = linprog._simplex
 
@@ -406,8 +407,8 @@ class TestWarmStart:
         minimax_q_train(game, LearningSchedule(max_steps=2000, seed=1))
         assert pivoted[0] <= 0.05 * (2000 + game.num_states)
         pivoted[0] = 0
-        oracle = learners.shapley_value_iteration(game)
-        assert pivoted[0] <= 0.05 * oracle.iterations * game.num_states
+        learners.shapley_value_iteration(game)
+        assert pivoted[0] <= game.num_states
 
 
 # --- Nash ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import copy
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +156,16 @@ class TestValidation:
     def test_mixture_must_normalize(self):
         with pytest.raises(GameFormatError):
             mixed_profile([[0.7, 0.2]])
+
+    @pytest.mark.parametrize("make, what", [
+        (lambda: mixed_profile([[1e308, 1e308]]), "mixtures[0]"),
+        (lambda: belief_state([1e308, 1e308]), "belief"),
+    ], ids=["mixed_profile", "belief_state"])
+    def test_overflowing_sum_refused_without_warning(self, make, what):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GameFormatError, match=rf"^{re.escape(what)} sums to inf, expected 1$"):
+                make()
 
     def test_payoff_entries_shape(self):
         with pytest.raises(GameFormatError):

@@ -2,6 +2,7 @@
 and correlated-Q on games with known solutions, regret matching with an
 independent log-replay pass, and fictitious play."""
 
+import itertools
 import json
 
 import numpy as np
@@ -55,6 +56,65 @@ def single_agent_mdp(gamma: float):
     return make_stochastic_game((2,), transition, [rewards], gamma)
 
 
+def support_enumeration_value(m: np.ndarray) -> float | None:
+    """Value of the zero-sum game m (row player maximizes) by equal-size
+    support pairs, each an exact square solve; None if no pair certifies."""
+    k1, k2 = m.shape
+    scale = 1e-9 * max(1.0, float(np.abs(m).max()))
+    for size in range(1, min(k1, k2) + 1):
+        system = np.zeros((size + 1, size + 1))
+        system[size, :size] = 1.0
+        system[:size, size] = -1.0
+        rhs = np.zeros(size + 1)
+        rhs[size] = 1.0
+        for rows in itertools.combinations(range(k1), size):
+            for cols in itertools.combinations(range(k2), size):
+                sub = m[np.ix_(rows, cols)]
+                try:
+                    system[:size, :size] = sub
+                    y_part = np.linalg.solve(system, rhs)
+                    system[:size, :size] = sub.T
+                    x_part = np.linalg.solve(system, rhs)
+                except np.linalg.LinAlgError:
+                    continue
+                if min(y_part[:size].min(), x_part[:size].min()) < -scale:
+                    continue
+                x = np.zeros(k1)
+                y = np.zeros(k2)
+                x[list(rows)] = x_part[:size]
+                y[list(cols)] = y_part[:size]
+                value = float(x @ m @ y)
+                if np.max(m @ y) <= value + scale and np.min(x @ m) >= value - scale:
+                    return value
+    return None
+
+
+def highs_value(m: np.ndarray) -> float:
+    """Value of the zero-sum game m by scipy.optimize.linprog (HiGHS):
+    max w over mixtures x with x @ m[:, j] >= w for every column j."""
+    optimize = pytest.importorskip("scipy.optimize")
+    k1, k2 = m.shape
+    ref = optimize.linprog(np.append(np.zeros(k1), -1.0),
+                           A_ub=np.hstack([-m.T, np.ones((k2, 1))]), b_ub=np.zeros(k2),
+                           A_eq=[np.append(np.ones(k1), 0.0)], b_eq=[1.0],
+                           bounds=[(0, None)] * k1 + [(None, None)], method="highs")
+    assert ref.status == 0
+    return -ref.fun
+
+
+def assert_shapley_fixed_point(game, values, tol=1e-10):
+    """Every stage value of r1 + gamma P v, by support enumeration and by
+    HiGHS, is within tol * (1 + max|v|) of v."""
+    bound = tol * (1.0 + np.abs(values).max())
+    cont = game.rewards[0] + game.discount * game.transition @ values
+    for s in range(game.num_states):
+        stage = cont[s].reshape(game.actions)
+        enumerated = support_enumeration_value(stage)
+        assert enumerated is not None, f"state {s}: no support pair certifies"
+        assert abs(enumerated - values[s]) <= bound, f"state {s}: support enumeration"
+        assert abs(highs_value(stage) - values[s]) <= bound, f"state {s}: HiGHS"
+
+
 def value_iteration_oracle(game, iterations: int = 400) -> np.ndarray:
     r = game.rewards[0]
     v = np.zeros(game.num_states)
@@ -64,16 +124,19 @@ def value_iteration_oracle(game, iterations: int = 400) -> np.ndarray:
     return v
 
 
+SEEDS = 15  # games per (shape, states, gamma) in the fixed-point grid: 720 in all
+
+
 class TestShapleyValueIteration:
     def test_constant_reward_closed_form(self):
         res = shapley_value_iteration(constant_reward_game(1.0, 0.9))
-        assert res.values[0] == pytest.approx(10.0, abs=1e-8)
+        assert res.values[0] == pytest.approx(10.0, abs=1e-12)
 
     def test_alternating_reward_closed_form(self):
         res = shapley_value_iteration(alternating_reward_game(0.9))
         # V0 = 1 / (1 - g^2), V1 = g * V0
-        assert res.values[0] == pytest.approx(1.0 / 0.19, abs=1e-8)
-        assert res.values[1] == pytest.approx(0.9 / 0.19, abs=1e-8)
+        assert res.values[0] == pytest.approx(1.0 / 0.19, abs=1e-12)
+        assert res.values[1] == pytest.approx(0.9 / 0.19, abs=1e-12)
 
     def test_bellman_fixed_point_on_random_games(self):
         for seed in range(5):
@@ -83,6 +146,36 @@ class TestShapleyValueIteration:
             for s in range(game.num_states):
                 stage_value, _, _ = stage_minimax(cont[s].reshape(game.actions))
                 assert stage_value == pytest.approx(res.values[s], abs=1e-8)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 5), (5, 5)],
+                             ids=["2x2", "3x2", "2x5", "5x5"])
+    def test_fixed_point_by_independent_oracles(self, shape):
+        """On a seeded grid of games the returned values are a fixed point of
+        Shapley's operator by support enumeration and by HiGHS, in a handful
+        of sweeps."""
+        for states, gamma, seed in itertools.product((2, 3, 5, 8), (0.5, 0.9, 0.99), range(SEEDS)):
+            game = random_game(seed, shape, zero_sum=True, num_states=states, discount=gamma)
+            res = shapley_value_iteration(game)
+            assert res.iterations <= 10, (states, gamma, seed)
+            assert_shapley_fixed_point(game, res.values)
+
+    def test_safeguard_drops_a_cycling_evaluation(self, monkeypatch):
+        """Each sweep but the last makes one policy-evaluation solve unless
+        its evaluation point is dropped; on this game one point is dropped,
+        and the values still certify."""
+        solves = [0]
+        solve = np.linalg.solve
+
+        def spy(*args):
+            solves[0] += 1
+            return solve(*args)
+
+        game = random_game(42, (2, 2), zero_sum=True, num_states=3, discount=0.9)
+        monkeypatch.setattr(learners.np.linalg, "solve", spy)
+        res = shapley_value_iteration(game)
+        monkeypatch.undo()
+        assert res.iterations - 1 - solves[0] == 1
+        assert_shapley_fixed_point(game, res.values)
 
     def test_policies_are_distributions(self):
         res = shapley_value_iteration(alternating_reward_game(0.9))
