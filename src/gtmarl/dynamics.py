@@ -78,7 +78,8 @@ def replicator_derivative(payoff_matrix, x) -> np.ndarray:
 def integrate_replicator(payoff_matrix, x0, params: DynamicsParams, method: str = "rk4") -> np.ndarray:
     """Fixed-step integration; returns the trajectory including the start
     state, shape (steps + 1, dims). Each step clips stray negative mass to
-    zero and renormalizes. Non-finite states abort with the step index."""
+    zero and renormalizes; a non-finite state, or mass below
+    NEGATIVE_DRIFT_TOL before the clip (dt too large), aborts with the step."""
     if method not in ("rk4", "euler"):
         raise SpecError(f"unknown integration method {method!r}")
     v = _vec(population_state(_vec(x0)))
@@ -102,6 +103,8 @@ def integrate_replicator(payoff_matrix, x0, params: DynamicsParams, method: str 
             v = v + dt * deriv(v)
         if not np.all(np.isfinite(v)):
             raise IntegrationError(step)
+        if v.min() < NEGATIVE_DRIFT_TOL:
+            raise IntegrationError(step, f"negative mass {v.min():g}")
         v = np.where(v > 0.0, v, 0.0)
         v = v / v.sum()
         traj[step] = v

@@ -59,20 +59,28 @@ class CeCheckReport:
     violations: tuple  # (agent, recommended, alternative, violation)
 
 
-def stage_minimax(matrix, basis=None) -> tuple[float, np.ndarray, np.ndarray]:
+def _stage_lps(a, senses, b, weights, what: str, bases) -> list:
+    """x, the row multipliers and the final basis of max c @ x over one stage
+    LP per c in weights. bases, a warm-start list its caller keeps, holds
+    each LP's start basis once filled (every LP is cold while it is empty,
+    or without one) and is left holding the bases the answers came from."""
+    if bases and len(bases) != len(weights):
+        raise SpecError(f"{len(bases)} warm-start bases for {len(weights)} LPs")
+    solved = [_solve_standard(a, senses, b, c, what, start)
+              for c, start in zip(weights, bases or [None] * len(weights))]
+    if bases is not None:
+        bases[:] = [basis for _, _, basis in solved]
+    return solved
+
+
+def stage_minimax(matrix, bases=None) -> tuple[float, np.ndarray, np.ndarray]:
     """Value and maximin mixtures of a zero-sum stage game given the row
     player's payoff matrix. Used directly on Q-table slices by learners.
 
     With the matrix shifted strictly positive, max 1'q s.t. (A + k)q <= 1
     yields the column mixture as q scaled and the row mixture as the scaled
-    dual multipliers; the shifted value is 1 / sum(q).
-
-    basis, when given, is an int array with one entry per row: the value
-    LP's basis to try first (column j of the matrix is j, the slack of row i
-    is columns + i), left holding the basis the answer came from. Learners
-    pass each state's own, so a slightly changed stage game is re-solved
-    with no pivot while its old basis stays optimal; without one the solve
-    starts cold from the slack basis.
+    dual multipliers; the shifted value is 1 / sum(q). bases is the value
+    LP's warm-start list (see _stage_lps); learners keep one per state.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.size == 0:
@@ -80,7 +88,8 @@ def stage_minimax(matrix, basis=None) -> tuple[float, np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(a)):
         raise SpecError("stage payoff matrix has non-finite entries")
     shift = 1.0 - a.min()
-    q, row_duals = _solve_standard(a + shift, (LESS,) * a.shape[0], 1.0, 1.0, "value LP", basis)
+    ((q, row_duals, _),) = _stage_lps(a + shift, (LESS,) * a.shape[0], 1.0, [1.0],
+                                      "value LP", bases)
     duals = np.where(row_duals > 0.0, row_duals, 0.0)  # clip -1e-11 drift
     total = float(q.sum())
     dual_total = float(duals.sum())
@@ -168,22 +177,6 @@ def _incentive_rows(actions, payoffs) -> tuple[np.ndarray, tuple]:
     return inc, labels
 
 
-def ce_start_bases(actions, agents: int, objective: str) -> np.ndarray:
-    """The basis _simplex starts each LP of solve_ce_distribution from, one
-    row per weight vector: the slack of each <= row and the mass row's
-    artificial. It holds an artificial, so a solve passed it runs cold and
-    leaves its optimal basis in the row."""
-    incentive = sum(k * (k - 1) for k in actions)
-    count = joint_count(actions)
-    if objective == EGALITARIAN:
-        # the floor rows follow the mass row; the artificial comes after their slacks
-        start = count + 2 + np.r_[np.arange(incentive), incentive + agents,
-                                  incentive + np.arange(agents)]
-    else:
-        start = count + np.arange(incentive + 1)
-    return np.tile(start, (agents if objective == PLUTOCRATIC else 1, 1))
-
-
 def solve_ce_distribution(actions, payoffs_flat, objective: str, bases=None) -> np.ndarray:
     """Optimal correlated distribution over flat joint actions for raw payoff
     vectors. Shared by correlated_eq_solve and the correlated-Q learner.
@@ -193,12 +186,8 @@ def solve_ce_distribution(actions, payoffs_flat, objective: str, bases=None) -> 
     turn (the first best wins), and egalitarian a free floor z <= u_i'lambda.
     The rows and columns are in the order solve_lp would reduce them to.
     The answer breaks no incentive row by more than FEAS_TOL, or it raises.
-
-    bases, when given, holds one start basis per LP solved (a row per agent
-    for plutocratic, one row otherwise; ce_start_bases gives the cold ones):
-    each LP is read from its row while that basis stays optimal, and the row
-    is left holding the basis its answer came from. The correlated-Q learner
-    keeps one per state; without bases every LP starts cold."""
+    bases is a warm-start list (see _stage_lps) with an entry per LP solved,
+    one per agent for plutocratic; correlated-Q keeps one per state."""
     actions = tuple(int(k) for k in actions)
     count = joint_count(actions)
     if count > MAX_JOINT_ACTIONS:
@@ -222,14 +211,8 @@ def solve_ce_distribution(actions, payoffs_flat, objective: str, bases=None) -> 
         weights = [np.sum(u, axis=0)]
     else:
         weights = list(u)
-    if bases is None:
-        bases = [None] * len(weights)
-    elif np.shape(bases) != (len(weights), len(senses)):
-        raise SpecError(f"bases of shape {np.shape(bases)} for {len(weights)} CE LPs "
-                        f"of {len(senses)} rows")
-    solved = [(c, _solve_standard(a, senses, b, c, "CE LP", basis)[0])
-              for c, basis in zip(weights, bases)]
-    lam = max(solved, key=lambda cx: cx[0] @ cx[1])[1][:count]
+    solved = [x for x, _, _ in _stage_lps(a, senses, b, weights, "CE LP", bases)]
+    lam = max(zip(weights, solved), key=lambda cx: cx[0] @ cx[1])[1][:count]
     lam = np.where(lam > 0.0, lam, 0.0)
     total = lam.sum()
     if not np.isfinite(total) or total <= 0.0:

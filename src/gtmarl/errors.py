@@ -41,10 +41,11 @@ class SimplexIterationError(NumericalError):
 
 
 class IntegrationError(NumericalError):
-    """An ODE integration step produced a non-finite state."""
+    """An ODE integration step produced a non-finite state, or the fault its
+    description names instead (such as negative mass)."""
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite state at integration step {step}")
+    def __init__(self, step: int, description: str = "non-finite state"):
+        super().__init__(f"{description} at integration step {step}")
         self.step = step
 
 

@@ -5,8 +5,9 @@ bootstraps through per-state stage games built from the current joint Q
 values. Each learner supplies only its stage solve: the zero-sum LP value
 and maximin mixtures for minimax-Q, a correlated-equilibrium distribution
 for correlated-Q. Each state is solved once before the first step and again
-right after each update of its Q row; each state's stage LPs start again
-from the bases its last solve ended on.
+right after each update of its Q row. Shapley's sweeps and both learners
+keep one warm-start list per state, empty before the state's first solve,
+which each stage solve fills with the bases its LPs ended on for the next.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import UTILITARIAN, ce_start_bases, solve_ce_distribution, stage_minimax
+from .equilibrium import UTILITARIAN, solve_ce_distribution, stage_minimax
 from .errors import NumericalError, SpecError, check_recorded
 from .games import MatrixGame, StochasticGame, require_kind, strides
 
@@ -118,13 +119,6 @@ def _solve_stage(s: int, unit: str, count: int, solve, *args):
         raise NumericalError(f"stage solve failed at state {s}, {unit} {count}: {exc}") from exc
 
 
-def _slack_bases(game: StochasticGame) -> np.ndarray:
-    """One stage_minimax start basis per state, each the slack basis; each
-    stage solve leaves its state's optimal basis in its row for the next."""
-    k1, k2 = game.actions
-    return np.tile(np.arange(k2, k2 + k1), (game.num_states, 1))
-
-
 # --- exact zero-sum solver (oracle for minimax-Q) --------------------------
 
 @dataclass(frozen=True)
@@ -164,7 +158,7 @@ def shapley_value_iteration(
     col_pol = np.zeros((states, k2))
     r1 = game.rewards[0]
     p = game.transition
-    bases = _slack_bases(game)
+    bases = [[] for _ in range(states)]
     evaluated = False
     for sweep in range(1, max_iterations + 1):
         new = np.empty(states)
@@ -268,7 +262,7 @@ def minimax_q_train(
     state's stage solve starts from the basis of its last one."""
     _require_stochastic(game, zero_sum=True, two_player=True)
     q = np.zeros((game.num_states, game.joint_actions))
-    bases = _slack_bases(game)
+    bases = [[] for _ in range(game.num_states)]
 
     def solve(s: int):
         v, x, y = stage_minimax(q[s].reshape(game.actions), bases[s])
@@ -307,8 +301,7 @@ def correlated_q_train(
     stage solve."""
     _require_stochastic(game, zero_sum=False, two_player=False)
     q = tuple(np.zeros((game.num_states, game.joint_actions)) for _ in game.rewards)
-    bases = np.tile(ce_start_bases(game.actions, game.num_agents, objective),
-                    (game.num_states, 1, 1))
+    bases = [[] for _ in range(game.num_states)]
 
     def solve(s: int):
         payoffs = [table[s] for table in q]

@@ -14,12 +14,13 @@ by its caller and solved by the core through _solve_standard.
 Bland's rule (lowest eligible index for both the entering and the leaving
 variable) makes the pivot sequence deterministic and cycle-free.
 
-A solve starts from a given basis only when its caller passes one to
-_solve_standard: stage_minimax and solve_ce_distribution do so for the
-learners, which keep each state's last optimal basis of each stage LP. If
-that basis is still optimal, _basis_solution reads the answer from it with
-no pivot; any other basis, and every call without one (solve_lp, a one-shot
-stage_minimax or CE solve), runs the core from its starting basis.
+A basis is one tableau column per row, numbered as _simplex numbers them, and
+no other module reads or builds one: _solve_standard returns the basis each
+answer came from, and its callers only hand that back on the next solve of a
+slightly changed program (the learners keep one per state and stage LP). If
+it is still optimal, _basis_solution reads the answer from it with no pivot;
+any other basis, and every call without one (solve_lp, a one-shot stage
+solve), runs the core from its starting basis.
 """
 
 from __future__ import annotations
@@ -307,9 +308,10 @@ def _basis_solution(a, senses, b, c, basis) -> tuple[np.ndarray, np.ndarray] | N
 
     Columns are numbered as in _simplex's tableau: the structural columns,
     then one slack per <= row in row order (an == row has none); a higher
-    index is an artificial, and a basis holding one is not optimal. The
-    basis matrix is built from the original columns and inverted once, so
-    x_B = B^-1 b and the multipliers y = c_B B^-1 carry no pivoting history.
+    index is an artificial, and a basis holding one, or of the wrong length
+    (carried from another program), is not optimal. The basis matrix is
+    built from the original columns and inverted once, so x_B = B^-1 b and
+    the multipliers y = c_B B^-1 carry no pivoting history.
     The basis is optimal when x_B >= 0 and every reduced cost (y @ a - c,
     and y itself at the slacks; an == row's multiplier is free) is at least
     -PIVOT_TOL, the test that ends _run_phase; a singular basis matrix is not
@@ -318,8 +320,8 @@ def _basis_solution(a, senses, b, c, basis) -> tuple[np.ndarray, np.ndarray] | N
     slacks = np.eye(m)
     if EQUAL in senses:
         slacks = slacks[:, [s != EQUAL for s in senses]]
-        if basis.max() >= n + slacks.shape[1]:
-            return None
+    if len(basis) != m or basis.max() >= n + slacks.shape[1]:
+        return None
     columns = np.concatenate((a, slacks), axis=1)
     costs = np.zeros(columns.shape[1])
     costs[:n] = c
@@ -342,25 +344,22 @@ def _basis_solution(a, senses, b, c, basis) -> tuple[np.ndarray, np.ndarray] | N
     return x[:n], duals
 
 
-def _solve_standard(a, senses, b, c, what: str, basis=None) -> tuple[np.ndarray, np.ndarray]:
+def _solve_standard(a, senses, b, c, what: str, basis=None) -> tuple:
     """_simplex on a program stated directly in standard form with <= and ==
     rows only, as the stage value LP and the CE LP are. Raises unless the
     solve ends optimal at a point within FEAS_TOL of every row and of x >= 0;
-    returns x and the row multipliers.
+    returns x, the row multipliers and the basis the answer came from.
 
-    basis (one tableau column per row, numbered as in _basis_solution) is
-    tried first by _basis_solution, and _simplex runs only if it is not
-    optimal; it is left holding the basis the answer came from."""
+    basis, one returned by an earlier call, is tried first by _basis_solution,
+    and _simplex runs only if it is not optimal for this program."""
     found = None if basis is None else _basis_solution(a, senses, b, c, basis)
     if found is not None:
         x, duals = found
     else:
-        status, x, duals, final = _simplex(a, senses, b, c)
+        status, x, duals, basis = _simplex(a, senses, b, c)
         if status != OPTIMAL:
             raise NumericalError(f"{what} ended with status {status}")
-        if basis is not None:
-            basis[:] = final
     worst = max(float(_row_excess(a, senses, b, x).max()), float((-x).max()))
     if worst > FEAS_TOL:
         raise NumericalError(f"simplex returned an infeasible point (off by {worst:g})")
-    return x, duals
+    return x, duals, basis

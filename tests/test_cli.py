@@ -349,6 +349,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: dt {float(dt)} must be finite and positive\n"
         assert not out.exists()
 
+    def test_dt_that_leaves_the_simplex(self, tmp_path, capsys):
+        out = tmp_path / "od"
+        argv = ["learn", "replicator", "--game", "classic:rps", "--x0", "0.5,0.3,0.2",
+                "--steps", 100, "--seed", 1, "--out", out]
+        assert run(argv + ["--dt", 5]) == 4
+        assert capsys.readouterr().err == "error: negative mass -0.37989 at integration step 2\n"
+        assert not out.exists()
+        assert run(argv + ["--dt", 2]) == 0
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_result_is_not_written(self, bad, tmp_path, capsys, monkeypatch):
         solve = cli.SOLVERS["minimax"]

@@ -108,8 +108,18 @@ class TestIntegration:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_aborts_with_step_index(self):
         a = np.array([[1e300, 0.0], [0.0, -1e300]])
-        with pytest.raises(IntegrationError):
+        with pytest.raises(IntegrationError, match="^non-finite state at integration step 1$"):
             integrate_replicator(a, [0.5, 0.5], DynamicsParams(dt=0.01, steps=10))
+
+    def test_overshooting_step_aborts_with_step_and_mass(self):
+        """A step that leaves the simplex by more than drift is refused, not
+        clipped onto a vertex (where the flow would rest)."""
+        with pytest.raises(IntegrationError,
+                           match="^negative mass -0.37989 at integration step 2$") as err:
+            integrate_replicator(RPS, [0.5, 0.3, 0.2], DynamicsParams(dt=5.0, steps=100))
+        assert err.value.step == 2
+        traj = integrate_replicator(RPS, [0.5, 0.3, 0.2], DynamicsParams(dt=2.0, steps=100))
+        assert traj.min() > 0.0
 
     def test_start_state_validated(self):
         with pytest.raises(SpecError):

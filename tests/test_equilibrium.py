@@ -17,7 +17,6 @@ from gtmarl.equilibrium import (
     UTILITARIAN,
     best_response,
     ce_check,
-    ce_start_bases,
     ce_violations,
     correlated_eq_solve,
     epsilon_nash_check,
@@ -250,11 +249,6 @@ class TestStageKernel:
             stage_minimax([[1.0, 0.0], [0.0, 1.0]])
 
 
-def slack_basis(matrix) -> np.ndarray:
-    k1, k2 = np.shape(matrix)
-    return np.arange(k2, k2 + k1)
-
-
 def basis_check(matrix, basis):
     """The value LP of matrix at basis, by LU solves and an SVD rank test
     independent of linprog: None for a singular basis matrix, else x_B and
@@ -308,35 +302,34 @@ def stage_sequences(draw):
 
 
 class TestWarmStart:
-    """stage_minimax(matrix, basis): the answer read from a still-optimal
+    """stage_minimax(matrix, bases): the answer read from a still-optimal
     basis agrees with the cold solve, and any other basis falls back to it."""
 
     @staticmethod
     def cold_with_basis(a):
-        """The cold solve's outcome and the basis it ended on; the slack
-        basis is never optimal (every structural reduced cost is -1), so
-        passing it runs the cold path."""
-        basis = slack_basis(a)
-        got = outcome(lambda m: stage_minimax(m, basis), a)
+        """The cold solve's outcome and the basis it ended on, from an empty
+        warm-start list, which the solve fills."""
+        bases = []
+        got = outcome(lambda m: stage_minimax(m, bases), a)
         assert got == outcome(stage_minimax, a)
-        return got, basis
+        return got, (bases[0] if bases else None)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(stage_sequences())
     def test_carried_basis_agrees_with_cold_solve(self, matrices):
-        basis = slack_basis(matrices[0])
+        bases = []
         for a in matrices:
-            start = basis.copy()
-            warm = outcome(lambda m: stage_minimax(m, basis), a)
+            check = basis_check(a, bases[0]) if bases else None
+            warm = outcome(lambda m: stage_minimax(m, bases), a)
             cold, cold_basis = self.cold_with_basis(a)
-            check = basis_check(a, start)
             stale = check is None or check[0].min() < -1e-6 or check[1].min() < -1e-6
             if stale or cold[0] == "error":
                 # a basis that is not optimal, and any matrix the cold solve
                 # fails on, must give exactly the cold outcome
                 if stale:
                     assert warm == cold
-                    assert np.array_equal(basis, cold_basis)
+                    if cold[0] == "ok":
+                        assert np.array_equal(bases[0], cold_basis)
                 continue
             assert warm[0] == "ok"
             scale = 1.0 + np.abs(a).max()
@@ -363,22 +356,37 @@ class TestWarmStart:
         ([[2.0, 2.0], [2.0, 2.0]], [0, 1]),
     ], ids=["infeasible", "not-optimal", "duplicate-columns", "constant"])
     def test_stale_basis_falls_back_to_cold_solve(self, matrix, basis):
-        start = np.array(basis)
-        check = basis_check(matrix, start)
+        check = basis_check(matrix, np.array(basis))
         assert check is None or check[0].min() < 0.0 or check[1].min() < 0.0
         cold, cold_basis = self.cold_with_basis(matrix)
-        assert outcome(lambda m: stage_minimax(m, start), matrix) == cold
-        assert np.array_equal(start, cold_basis)
+        bases = [np.array(basis)]
+        assert outcome(lambda m: stage_minimax(m, bases), matrix) == cold
+        assert np.array_equal(bases[0], cold_basis)
+
+    def test_basis_of_another_lp_falls_back_to_cold_solve(self):
+        """A basis that does not fit the value LP (an index past its last
+        slack, or another LP's row count) is refused, not indexed."""
+        a = np.eye(2)
+        cold, cold_basis = self.cold_with_basis(a)
+        bases = [np.array([4, 5])]
+        assert outcome(lambda m: stage_minimax(m, bases), a) == cold
+        assert np.array_equal(bases[0], cold_basis)
+        bases = []
+        stage_minimax(np.array([[3.0, 0.0, 1.0], [1.0, 2.0, 0.0], [0.0, 1.0, 4.0]]), bases)
+        assert bases[0].size == 3
+        assert outcome(lambda m: stage_minimax(m, bases), a) == cold
+        assert np.array_equal(bases[0], cold_basis)
 
     def test_optimal_basis_needs_no_pivot(self, monkeypatch):
         a = np.array([[3.0, 0.0], [1.0, 2.0]])
-        _, basis = self.cold_with_basis(a)
+        bases = []
+        stage_minimax(a, bases)
 
         def forbidden_simplex(*args, **kwargs):
             raise AssertionError("the simplex ran although the start basis was optimal")
 
         monkeypatch.setattr(linprog, "_simplex", forbidden_simplex)
-        value, x, y = stage_minimax(a + 1e-3, basis)
+        value, x, y = stage_minimax(a + 1e-3, bases)
         assert value == pytest.approx(1.5 + 1e-3, abs=1e-12)
         assert x == pytest.approx([0.25, 0.75], abs=1e-12)
         assert y == pytest.approx([0.5, 0.5], abs=1e-12)
@@ -389,7 +397,7 @@ class TestWarmStart:
 
         monkeypatch.setattr(linprog, "_basis_solution", corrupt)
         with pytest.raises(NumericalError, match="simplex returned an infeasible point"):
-            stage_minimax([[1.0, 0.0], [0.0, 1.0]], np.array([0, 1]))
+            stage_minimax([[1.0, 0.0], [0.0, 1.0]], [np.array([0, 1])])
 
     def test_learners_pivot_on_few_stage_solves(self, monkeypatch):
         """Carried bases leave the simplex to at most 5% of the stage solves
@@ -699,7 +707,7 @@ def break_ce_incentives(monkeypatch):
 
     monkeypatch.setattr(equilibrium, "_incentive_rows", rows_with_a_breach)
     monkeypatch.setattr(equilibrium, "_solve_standard",
-                        lambda a, senses, b, c, what, basis: (np.eye(a.shape[1])[0], None))
+                        lambda a, senses, b, c, what, basis: (np.eye(a.shape[1])[0], None, None))
 
 
 class TestCeLayer:
@@ -819,7 +827,7 @@ class TestCeWarmStart:
     @given(ce_update_sequences())
     def test_carried_bases_agree_with_cold_solves(self, sequence):
         actions, objective, games = sequence
-        bases = ce_start_bases(actions, len(actions), objective)
+        bases = []
         for u in games:
             warm = ce_outcome(lambda *args: solve_ce_distribution(*args, bases), actions, u,
                               objective)
@@ -836,34 +844,16 @@ class TestCeWarmStart:
             ref = highs_ce_value(actions, games[-1], objective)
             assert abs(value - ref) <= 1e-7 * (1.0 + abs(ref))
 
-    def test_start_bases_are_the_simplex_start(self, monkeypatch):
-        """ce_start_bases is the basis _simplex starts each CE LP from."""
-        started = []
-        run_phase = linprog._run_phase
-
-        def first_basis(tab, basis, *args):
-            started.append(basis.copy())
-            return run_phase(tab, basis, *args)
-
-        monkeypatch.setattr(linprog, "_run_phase", first_basis)
-        rng = np.random.default_rng(4)
-        for actions in CE_WARM_SHAPES:
-            for objective in CE_OBJECTIVES:
-                started.clear()
-                u = rng.normal(size=(len(actions), joint_count(actions)))
-                solve_ce_distribution(actions, u, objective)
-                bases = ce_start_bases(actions, len(actions), objective)
-                assert bases.shape[0] == (len(actions) if objective == PLUTOCRATIC else 1)
-                assert all(np.array_equal(started[0], start) for start in bases)
-
-    @pytest.mark.parametrize("objective, shape", [
-        (PLUTOCRATIC, (1, 5)),  # one basis for two LPs
-        (UTILITARIAN, (1, 4)),  # a row short
-        (EGALITARIAN, (1, 5)),  # without the floor rows
+    @pytest.mark.parametrize("objective, count", [
+        (PLUTOCRATIC, 1),  # one basis for two LPs
+        (UTILITARIAN, 2),  # two bases for one LP
+        (EGALITARIAN, 2),
     ])
-    def test_bases_must_fit_the_lps(self, objective, shape):
-        with pytest.raises(SpecError, match=rf"^bases of shape \({shape[0]}, {shape[1]}\) for"):
-            solve_ce_distribution((2, 2), CHICKEN, objective, np.zeros(shape, dtype=int))
+    def test_bases_must_fit_the_lps(self, objective, count):
+        lps = 2 if objective == PLUTOCRATIC else 1
+        bases = [np.arange(5)] * count
+        with pytest.raises(SpecError, match=rf"^{count} warm-start bases for {lps} LPs$"):
+            solve_ce_distribution((2, 2), CHICKEN, objective, bases)
 
     def test_correlated_q_solves_few_ce_lps_cold(self, monkeypatch):
         """Carried bases leave the simplex to at most a third of the CE LPs
@@ -892,6 +882,31 @@ class TestCeWarmStart:
             for got, want in zip(res.q.tables, ref.q.tables):
                 assert np.allclose(got, want, rtol=0.0, atol=1e-9)
             assert np.allclose(res.stage_policies, ref.stage_policies, rtol=0.0, atol=1e-9)
+
+
+def test_first_solve_on_an_empty_list_tries_no_basis(monkeypatch):
+    """A solve on an empty list goes straight to the simplex; the next
+    tries the basis of each LP that the first left in the list."""
+    tried = [0]
+    basis_solution = linprog._basis_solution
+
+    def counted(*args):
+        tried[0] += 1
+        return basis_solution(*args)
+
+    monkeypatch.setattr(linprog, "_basis_solution", counted)
+    bases = []
+    stage_minimax([[3.0, 0.0], [1.0, 2.0]], bases)
+    assert tried[0] == 0 and len(bases) == 1
+    stage_minimax([[3.0, 0.5], [1.0, 2.0]], bases)
+    assert tried[0] == 1 and len(bases) == 1
+    for objective in CE_OBJECTIVES:
+        lps = 2 if objective == PLUTOCRATIC else 1
+        tried[0], bases = 0, []
+        solve_ce_distribution((2, 2), CHICKEN, objective, bases)
+        assert tried[0] == 0 and len(bases) == lps
+        solve_ce_distribution((2, 2), np.array(CHICKEN) + 0.5, objective, bases)
+        assert tried[0] == lps and len(bases) == lps
 
 
 def test_stage_solvers_and_learners_bypass_the_general_solver(monkeypatch):

@@ -409,18 +409,19 @@ class TestBasisSolutionWithEqualityRow:
         #          (every structural reduced cost is >= 0)
         [1, 2],  # columns 1 and 2 are parallel: a singular basis matrix
         [3, 4],  # the == row's artificial: _simplex's starting basis
-    ], ids=["primal-infeasible", "dual-infeasible", "singular", "artificial"])
+        [3],  # one column for two rows: a basis of another program
+    ], ids=["primal-infeasible", "dual-infeasible", "singular", "artificial", "short"])
     def test_refuses_a_basis_that_is_not_optimal(self, basis):
         assert self.solve(basis) is None
 
     def test_solve_standard_falls_back_and_keeps_the_cold_basis(self, monkeypatch):
-        basis = np.array([3, 4])
-        x, _ = _solve_standard(self.a, self.senses, self.b, self.c, "test LP", basis)
+        x, _, basis = _solve_standard(self.a, self.senses, self.b, self.c, "test LP",
+                                      np.array([3, 4]))
         assert x.tolist() == [1.0, 0.0, 0.0] and basis.tolist() == [3, 0]
 
         def forbidden_simplex(*args, **kwargs):
             raise AssertionError("the simplex ran although the start basis was optimal")
 
         monkeypatch.setattr(linprog, "_simplex", forbidden_simplex)
-        x, _ = _solve_standard(self.a, self.senses, self.b * 2.0, self.c, "test LP", basis)
-        assert x.tolist() == [2.0, 0.0, 0.0] and basis.tolist() == [3, 0]
+        x, _, kept = _solve_standard(self.a, self.senses, self.b * 2.0, self.c, "test LP", basis)
+        assert x.tolist() == [2.0, 0.0, 0.0] and kept is basis
