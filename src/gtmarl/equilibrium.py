@@ -8,7 +8,8 @@ LP statement over a cached incentive index for all three welfare objectives,
 each answer checked against the incentive rows built for its LP; ce_violations
 reads the same index. Both LPs are stated in standard form and solved by
 linprog's simplex core directly, with solve_lp's answer bit for bit.
-A support enumeration oracle covers small general-sum games.
+Vertex enumeration of the two best-response polytopes gives every extreme
+Nash equilibrium of a small two-player game, degenerate or not.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ CE_OBJECTIVES = (UTILITARIAN, EGALITARIAN, PLUTOCRATIC)
 
 MAX_JOINT_ACTIONS = 4096
 MAX_ENUM_ACTIONS = 4
+_VERTEX_TOL = 1e-9  # label slack, and the |det| of a system dropped as singular
 
 
 @dataclass(frozen=True)
@@ -252,68 +254,50 @@ def ce_check(game: MatrixGame, policy, eps: float) -> CeCheckReport:
     return CeCheckReport(passed=worst <= eps, max_violation=worst, violations=flagged)
 
 
+def _vertices(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero vertices of {v >= 0 : m v <= 1} and their label masks, one
+    vertex per label set. Label j < d says v_j = 0, label d + i that row i
+    of m is tight; each d-subset of tight constraints is one solve."""
+    k, d = m.shape
+    g = np.vstack([-np.eye(d), m])
+    h = np.append(np.zeros(d), np.ones(k))
+    subsets = np.array(list(itertools.combinations(range(d + k), d)))
+    systems = g[subsets]
+    keep = np.abs(np.linalg.det(systems)) > _VERTEX_TOL
+    v = np.linalg.solve(systems[keep], h[subsets[keep]][..., None])[..., 0]
+    slack = h - v @ g.T
+    ok = (slack.min(axis=1) >= -_VERTEX_TOL) & (v.sum(axis=1) > _VERTEX_TOL)
+    labels, first = np.unique(np.abs(slack[ok]) <= _VERTEX_TOL, axis=0, return_index=True)
+    return np.where(labels[:, :d], 0.0, v[ok][first]), labels
+
+
 def support_enumeration_nash(game: MatrixGame) -> list[MixedProfile]:
-    """All Nash equilibria of a small two-player game found by support
-    enumeration (indifference systems filtered by best-response checks).
-    Deduplicates at 1e-9 in the sup norm."""
+    """Every extreme Nash equilibrium of a small two-player game,
+    degenerate games included, by vertex enumeration of the best-response
+    polytopes P = {x >= 0 : B'x <= 1} and Q = {y >= 0 : Ay <= 1}
+    (von Stengel 2002). Each payoff matrix is first mapped affinely into
+    [1, 2], so the 1e-9 label tolerance is the same at any payoff scale. A
+    vertex pair whose labels cover every action is an equilibrium. The
+    profiles come sorted by row support (size, then indices), then by
+    column support; on a nondegenerate game that is support enumeration's
+    order."""
     if game.num_agents != 2:
         raise SpecError("support enumeration covers two-player games only")
     k1, k2 = game.actions
     if max(k1, k2) > MAX_ENUM_ACTIONS:
         raise SpecError(f"support enumeration caps at {MAX_ENUM_ACTIONS} actions")
-    a_mat, b_mat = game.payoffs
-    found: list[tuple[np.ndarray, np.ndarray]] = []
+    # halved first, so that a payoff range near 2 * 1e308 does not overflow
+    a_mat, b_mat = (1.0 + (h - h.min()) / max(np.ptp(h), np.finfo(float).tiny)
+                    for h in (u / 2 for u in game.payoffs))
+    xs, x_labels = _vertices(b_mat.T)
+    ys, y_labels = _vertices(a_mat)
+    y_labels = np.roll(y_labels, k1, axis=1)  # Q's labels: rows of A first
+    complete = (x_labels[:, None, :] | y_labels[None, :, :]).all(axis=2)
 
-    def supports(k):
-        for size in range(1, k + 1):
-            yield from itertools.combinations(range(k), size)
+    def support(v):
+        idx = tuple(np.flatnonzero(v))
+        return len(idx), idx
 
-    def solve_indifference(payoff_cols: np.ndarray, own, other) -> np.ndarray | None:
-        # unknowns: mixture over `own`, plus the opponent's common payoff
-        rows = []
-        rhs = []
-        for j in other:
-            row = np.zeros(len(own) + 1)
-            row[: len(own)] = payoff_cols[np.ix_(own, [j])].ravel()
-            row[-1] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-        rows.append(np.concatenate([np.ones(len(own)), [0.0]]))
-        rhs.append(1.0)
-        m = np.stack(rows)
-        r = np.asarray(rhs)
-        sol, residual, rank, _ = np.linalg.lstsq(m, r, rcond=None)
-        if not np.all(np.isfinite(sol)):
-            return None
-        if np.max(np.abs(m @ sol - r)) > 1e-9:
-            return None
-        mix = sol[:-1]
-        if mix.min() < -1e-9:
-            return None
-        return np.where(mix > 0.0, mix, 0.0)
-
-    for s1 in supports(k1):
-        for s2 in supports(k2):
-            x_part = solve_indifference(b_mat, s1, s2)
-            if x_part is None:
-                continue
-            y_part = solve_indifference(a_mat.T, s2, s1)
-            if y_part is None:
-                continue
-            x = np.zeros(k1)
-            x[list(s1)] = x_part
-            y = np.zeros(k2)
-            y[list(s2)] = y_part
-            x /= x.sum()
-            y /= y.sum()
-            profile = mixed_profile([x, y])
-            report = epsilon_nash_check(game, profile, 1e-9)
-            if not report.passed:
-                continue
-            if any(
-                np.max(np.abs(x - px)) <= 1e-9 and np.max(np.abs(y - py)) <= 1e-9
-                for px, py in found
-            ):
-                continue
-            found.append((x, y))
-    return [mixed_profile([x, y]) for x, y in found]
+    pairs = sorted(zip(*np.nonzero(complete)),
+                   key=lambda ij: (support(xs[ij[0]]), support(ys[ij[1]])))
+    return [mixed_profile([xs[i] / xs[i].sum(), ys[j] / ys[j].sum()]) for i, j in pairs]

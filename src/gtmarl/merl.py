@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpecError, check_recorded
+from .errors import DivergenceError, SpecError, check_recorded
 from .output import write_csv
 
 FEATURE_DIM = 3  # own position, centroid of the others, bias
@@ -437,22 +437,26 @@ def merl_train(config: MerlConfig) -> MerlResult:
         )
         best_genomes.append(pop.genomes[gen_best].copy())
 
-        for _ in range(config.pg_updates):
-            for i in range(config.num_agents):
-                if len(buffers[i]) < config.batch_size:
-                    continue
-                batch = buffers[i].sample(rng_pg, config.batch_size)
-                critics[i] = critic_td_update(
-                    critics[i], target_actors[i], target_critics[i], batch,
-                    config.alpha_q, config.gamma,
-                )
-                actors[i] = dpg_actor_update(actors[i], critics[i], batch, config.alpha_pi)
-                target_actors[i] = LinearActor(
-                    soft_update(target_actors[i].weights, actors[i].weights, config.tau)
-                )
-                target_critics[i] = QuadraticCritic(
-                    soft_update(target_critics[i].weights, critics[i].weights, config.tau)
-                )
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            for _ in range(config.pg_updates):
+                for i in range(config.num_agents):
+                    if len(buffers[i]) < config.batch_size:
+                        continue
+                    batch = buffers[i].sample(rng_pg, config.batch_size)
+                    critics[i] = critic_td_update(
+                        critics[i], target_actors[i], target_critics[i], batch,
+                        config.alpha_q, config.gamma,
+                    )
+                    actors[i] = dpg_actor_update(actors[i], critics[i], batch, config.alpha_pi)
+                    target_actors[i] = LinearActor(
+                        soft_update(target_actors[i].weights, actors[i].weights, config.tau)
+                    )
+                    target_critics[i] = QuadraticCritic(
+                        soft_update(target_critics[i].weights, critics[i].weights, config.tau)
+                    )
+        if not all(np.isfinite(m.weights).all() for m in actors + critics):
+            raise DivergenceError(gen + 1, "actor or critic weights not finite in generation "
+                                           f"{gen + 1} of {config.generations}")
 
         if (
             config.migration_period is not None

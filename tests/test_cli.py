@@ -328,6 +328,21 @@ class TestExitCodes:
         assert rollouts == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha_q, generation", [(0.9, 19), (1e300, 1)])
+    def test_merl_divergence_names_its_generation(self, alpha_q, generation, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha_q": alpha_q}))
+        out = tmp_path / "od"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            rc = run(["learn", "merl", "--generations", 20, "--population", 4, "--horizon", 8,
+                      "--seed", 7, "--config", cfg, "--out", out])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            f"error: divergence detected at step {generation}: actor or critic weights "
+            f"not finite in generation {generation} of 20\n")
+        assert not out.exists()
+
     def test_x0_whose_sum_overflows(self, tmp_path, capsys):
         out = tmp_path / "od"
         with warnings.catch_warnings():

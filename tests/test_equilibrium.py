@@ -1,7 +1,9 @@
-"""Equilibrium solvers vs independent oracles: closed-form 2x2 Nash,
-CE polytope vertex enumeration, and primal-dual gap bounds."""
+"""Equilibrium solvers vs independent oracles: closed-form 2x2 Nash, exact
+best-response polytope vertices, CE polytope vertex enumeration, and
+primal-dual gap bounds."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +64,60 @@ def nash_2x2_oracle(u1, u2):
         if 1e-12 < p < 1 - 1e-12 and 1e-12 < q < 1 - 1e-12:
             found.append((np.array([p, 1 - p]), np.array([q, 1 - q])))
     return found
+
+
+def exact_solve(rows, rhs):
+    """The unique solution of a square Fraction system, or None if it is
+    singular (Gauss-Jordan elimination)."""
+    n = len(rows)
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if aug[r][c] != 0), None)
+        if p is None:
+            return None
+        aug[c], aug[p] = aug[p], aug[c]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c] / aug[c][c]
+                aug[r] = [u - f * w for u, w in zip(aug[r], aug[c])]
+    return [aug[r][n] / aug[r][r] for r in range(n)]
+
+
+def exact_polytope_vertices(m):
+    """Every nonzero vertex of {v >= 0 : m v <= 1} for a positive integer
+    matrix m, in exact arithmetic, with its label set: j when v_j = 0 and
+    d + i when row i is tight."""
+    k, d = len(m), len(m[0])
+    g = [[-int(i == j) for j in range(d)] for i in range(d)] + [list(r) for r in m]
+    h = [0] * d + [1] * k
+    found = {}
+    for subset in itertools.combinations(range(d + k), d):
+        v = exact_solve([[Fraction(e) for e in g[i]] for i in subset],
+                        [Fraction(h[i]) for i in subset])
+        if v is None or not any(v):
+            continue
+        slack = [h[i] - sum(e * x for e, x in zip(g[i], v)) for i in range(d + k)]
+        if min(slack) >= 0:
+            found[tuple(v)] = frozenset(i for i, s in enumerate(slack) if s == 0)
+    return found
+
+
+def exact_extreme_equilibria(a, b):
+    """Every extreme Nash equilibrium of the integer bimatrix game (a, b):
+    after a shift that makes both matrices positive, the completely labeled
+    vertex pairs of P = {x >= 0 : b'x <= 1} and Q = {y >= 0 : a y <= 1}.
+    Labels 0..k1-1 are row actions, k1.. column actions."""
+    k1, k2 = len(a), len(a[0])
+    shift = 1 - min(min(map(min, a)), min(map(min, b)))
+    xs = exact_polytope_vertices([[b[i][j] + shift for i in range(k1)] for j in range(k2)])
+    ys = exact_polytope_vertices([[e + shift for e in row] for row in a])
+    return [
+        ([float(e / sum(x)) for e in x], [float(e / sum(y)) for e in y])
+        for x, x_labels in xs.items()
+        for y, y_labels in ys.items()
+        # Q numbers its own labels y_j = 0 first: move them after the rows
+        if len(x_labels | {(i + k1) % (k1 + k2) for i in y_labels}) == k1 + k2
+    ]
 
 
 def ce_incentive_rows_2x2(u1, u2):
@@ -457,6 +513,53 @@ class TestSupportEnumeration:
             # and everything returned really is an equilibrium
             for e in mine:
                 assert epsilon_nash_check(g, e, 1e-8).passed
+
+    @pytest.mark.parametrize("k1, k2", itertools.product(range(1, 5), repeat=2))
+    def test_matches_exact_oracle_on_small_integer_games(self, k1, k2):
+        rng = np.random.default_rng(100 * k1 + k2)
+        for _ in range(20):
+            a, b = rng.integers(-2, 3, (2, k1, k2))
+            g = build_matrix_game((k1, k2), [a.ravel(), b.ravel()])
+            oracle = exact_extreme_equilibria(a.tolist(), b.tolist())
+            mine = support_enumeration_nash(g)
+            assert len(mine) == len(oracle), (a.tolist(), b.tolist())
+            for x, y in oracle:
+                assert any(np.allclose(e.mixtures[0], x, rtol=0, atol=1e-9)
+                           and np.allclose(e.mixtures[1], y, rtol=0, atol=1e-9)
+                           for e in mine), (a.tolist(), b.tolist(), x, y)
+            for e in mine:
+                assert epsilon_nash_check(g, e, 1e-9).passed
+
+    def test_degenerate_game_returns_every_extreme_equilibrium(self):
+        # a support pair that holds a segment of equilibria: x = (1, 0)
+        # against y on the segment from (1/2, 0, 1/2) to (0, 1/2, 1/2)
+        g = build_matrix_game((2, 3), [[0, 0, 1, 1, 1, 0], [0, 0, 0, 2, 1, 1]])
+        eqs = [[m.tolist() for m in e.mixtures] for e in support_enumeration_nash(g)]
+        assert eqs == [
+            [[1.0, 0.0], [0.0, 0.0, 1.0]],
+            [[1.0, 0.0], [0.5, 0.0, pytest.approx(0.5, abs=1e-15)]],
+            [[1.0, 0.0], [0.0, 0.5, pytest.approx(0.5, abs=1e-15)]],
+            [[0.0, 1.0], [1.0, 0.0, 0.0]],
+        ]
+
+    def test_constant_game_returns_every_pure_profile(self):
+        g = build_matrix_game((2, 2), [[3.0] * 4, [3.0] * 4])
+        eqs = [[m.tolist() for m in e.mixtures] for e in support_enumeration_nash(g)]
+        assert eqs == [[x, y] for x in ([1.0, 0.0], [0.0, 1.0]) for y in ([1.0, 0.0], [0.0, 1.0])]
+
+    # the last case's row payoffs span more than the largest float
+    @pytest.mark.parametrize("scales", [(1e-6, 1e-6), (1e6, 1e6), (1e9, 1e9), (1e308, 1.0)],
+                             ids=["1e-6", "1e6", "1e9", "row-1e308"])
+    def test_payoff_scale_does_not_change_the_equilibria(self, scales):
+        for seed in range(30):
+            g = random_game(seed, (3, 3))
+            scaled = build_matrix_game((3, 3), [u.ravel() * c for u, c in zip(g.payoffs, scales)])
+            base = support_enumeration_nash(g)
+            eqs = support_enumeration_nash(scaled)
+            assert len(eqs) == len(base)
+            for e, f in zip(eqs, base):
+                for m, n in zip(e.mixtures, f.mixtures):
+                    assert m == pytest.approx(n, abs=1e-12)
 
     def test_action_cap(self):
         g = random_game(0, (5, 2))
