@@ -155,8 +155,10 @@ def joint_tuple(actions: tuple[int, ...], index: int) -> tuple[int, ...]:
 
 
 def _is_zero_sum(tensors) -> bool:
-    """Two agents whose payoff or reward tensors cancel to ZERO_SUM_TOL."""
-    return len(tensors) == 2 and bool(np.max(np.abs(tensors[0] + tensors[1])) <= ZERO_SUM_TOL)
+    """Two agents whose payoff or reward tensors cancel to ZERO_SUM_TOL; a
+    sum that overflows to inf does not cancel."""
+    with np.errstate(over="ignore"):
+        return len(tensors) == 2 and bool(np.max(np.abs(tensors[0] + tensors[1])) <= ZERO_SUM_TOL)
 
 
 def _at(path: str, index) -> str:

@@ -12,15 +12,14 @@ which each stage solve fills with the bases its LPs ended on for the next.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .equilibrium import UTILITARIAN, solve_ce_distribution, stage_minimax
 from .errors import NumericalError, SpecError, check_recorded
 from .games import MatrixGame, StochasticGame, require_kind, strides
+from .output import write_json
 
 VISIT_DECAY_POWER = 0.85
 CONSTANT = "constant"
@@ -95,7 +94,7 @@ def save_qtables(path, q: QTables) -> None:
         "joint_actions": joint,
         "tables": [t.tolist() for t in q.tables],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def _sample(rng: np.random.Generator, cumulative: np.ndarray) -> int:

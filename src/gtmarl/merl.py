@@ -2,9 +2,10 @@
 
 A population of team genomes (concatenated per-agent linear actor weights)
 evolves against episode fitness (total team reward), while a separate
-policy-gradient team trains per-agent deterministic actors and quadratic
-critics off the shared replay buffers. Every migration period the gradient
-team's weights are copied over the worst non-elite genome.
+policy-gradient team, one learner whose weights carry a leading agent axis,
+steps every agent's deterministic actor and quadratic critic at once off one
+replay ring of team rows. Every migration period the gradient team's weights
+are copied over the worst non-elite genome.
 
 Fitness is always measured on the same fixed evaluation episodes, so with
 elitism the best-ever fitness is literally nondecreasing; one batched
@@ -103,56 +104,63 @@ def agent_features(positions: np.ndarray, agent: int) -> np.ndarray:
     return _features(positions)[agent]
 
 
+def _dot(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """phi @ w, agent by agent when w has a leading agent axis."""
+    return np.matmul(phi, w[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class LinearActor:
-    weights: np.ndarray  # (FEATURE_DIM,)
+    weights: np.ndarray  # (FEATURE_DIM,), or (agents, FEATURE_DIM) for a team
 
     def act(self, phi: np.ndarray) -> np.ndarray:
-        """Deterministic clipped-linear action; phi may be (3,) or (T, 3)."""
-        return np.clip(phi @ self.weights, -1.0, 1.0)
+        """Deterministic clipped-linear action; phi may be (3,), (T, 3) or,
+        for a team, (agents, T, 3)."""
+        return np.clip(_dot(phi, self.weights), -1.0, 1.0)
 
 
 @dataclass(frozen=True)
 class QuadraticCritic:
-    """Q(s, a) = w_aa a^2 + (w_af . phi) a + w_s . phi, linear in weights."""
+    """Q(s, a) = w_aa a^2 + (w_af . phi) a + w_s . phi, linear in weights;
+    a team's (agents, CRITIC_DIM) weights take (agents, T) actions."""
 
-    weights: np.ndarray  # (CRITIC_DIM,)
+    weights: np.ndarray  # (CRITIC_DIM,), or (agents, CRITIC_DIM) for a team
 
     def value(self, phi: np.ndarray, action: np.ndarray) -> np.ndarray:
         w = self.weights
-        return (
-            w[0] * action**2
-            + (phi @ w[1 : 1 + FEATURE_DIM]) * action
-            + phi @ w[1 + FEATURE_DIM :]
-        )
+        return (w[..., :1] * action**2 + _dot(phi, w[..., 1 : 1 + FEATURE_DIM]) * action
+                + _dot(phi, w[..., 1 + FEATURE_DIM :]))
 
     def grad_action(self, phi: np.ndarray, action: np.ndarray) -> np.ndarray:
-        return 2.0 * self.weights[0] * action + phi @ self.weights[1 : 1 + FEATURE_DIM]
+        w = self.weights
+        return 2.0 * w[..., :1] * action + _dot(phi, w[..., 1 : 1 + FEATURE_DIM])
 
 
 def _critic_features(phi: np.ndarray, action: np.ndarray) -> np.ndarray:
-    return np.concatenate(
-        [action[:, None] ** 2, action[:, None] * phi, phi], axis=1
-    )
+    return np.concatenate([action[..., None] ** 2, action[..., None] * phi, phi], axis=-1)
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring over (phi, action, reward, next phi)."""
+    """Fixed-capacity FIFO ring over (phi, action, reward, next phi) rows,
+    shaped by the first write. A row may hold a team's transition, agents
+    first; sample then draws each agent's rows as one buffer per agent would."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise SpecError("capacity must be positive")
         self.capacity = capacity
         self.insertions = 0
-        self._fields = (
-            np.zeros((capacity, FEATURE_DIM)), np.zeros(capacity),
-            np.zeros(capacity), np.zeros((capacity, FEATURE_DIM)),
-        )
+        self._fields = ()
 
     def __len__(self) -> int:
         return min(self.insertions, self.capacity)
 
+    def _allocate(self, *shapes) -> None:
+        if not self._fields:
+            self._fields = tuple(np.zeros((self.capacity,) + shape) for shape in shapes)
+
     def push(self, phi, action: float, reward: float, phi_next) -> None:
+        self._allocate(*(np.shape(part) for part in (phi, action, reward, phi_next)))
         slot = self.insertions % self.capacity
         for store, value in zip(self._fields, (phi, action, reward, phi_next)):
             store[slot] = value
@@ -161,6 +169,7 @@ class ReplayBuffer:
     def extend(self, phi, action, reward, phi_next) -> None:
         """push() every row of the arrays in order, as one ring write: only
         the last `capacity` rows survive, so only they are written."""
+        self._allocate(*(np.shape(part)[1:] for part in (phi, action, reward, phi_next)))
         count = len(action)
         keep = min(count, self.capacity)
         slots = (self.insertions + count - keep + np.arange(keep)) % self.capacity
@@ -172,7 +181,10 @@ class ReplayBuffer:
         size = len(self)
         if size == 0:
             raise SpecError("cannot sample from an empty buffer")
-        idx = rng.integers(0, size, size=batch_size)
+        agents = self._fields[1].shape[1:]  # () for one agent's rows
+        # one draw for the team is one draw per agent in turn; agent i reads column i
+        idx = (rng.integers(0, size, size=agents + (batch_size,)),)
+        idx += tuple(np.arange(n)[:, None] for n in agents)
         return tuple(store[idx] for store in self._fields)  # indexing copies
 
 
@@ -182,34 +194,31 @@ def soft_update(target_params: np.ndarray, online_params: np.ndarray, tau: float
     return tau * online_params + (1.0 - tau) * target_params
 
 
-def critic_td_update(
-    critic: QuadraticCritic,
-    target_actor: LinearActor,
-    target_critic: QuadraticCritic,
-    batch,
-    alpha_q: float,
-    gamma: float,
-) -> QuadraticCritic:
+def critic_td_update(critic: QuadraticCritic, target_actor: LinearActor,
+                     target_critic: QuadraticCritic, batch, alpha_q: float,
+                     gamma: float) -> QuadraticCritic:
     """One exact gradient-descent step on the mean squared TD error with
-    bootstrapped targets y = r + gamma Q'(s', pi'(s'))."""
+    bootstrapped targets y = r + gamma Q'(s', pi'(s')); a team steps every
+    agent on its own rows of an (agents, T, ...) batch."""
     phi, action, reward, phi_next = batch
     next_action = target_actor.act(phi_next)
     targets = reward + gamma * target_critic.value(phi_next, next_action)
     features = _critic_features(phi, action)
-    residual = features @ critic.weights - targets
-    grad = 2.0 * (features.T @ residual) / phi.shape[0]
+    residual = _dot(features, critic.weights) - targets
+    grad = 2.0 * _dot(features.swapaxes(-1, -2), residual) / phi.shape[-2]
     return QuadraticCritic(critic.weights - alpha_q * grad)
 
 
 def dpg_actor_update(actor: LinearActor, critic: QuadraticCritic, batch, alpha_pi: float) -> LinearActor:
     """Deterministic policy-gradient ascent; the clip contributes zero
-    gradient wherever the preactivation saturates."""
+    gradient wherever the preactivation saturates; a team steps every agent
+    on its own rows of an (agents, T, ...) batch."""
     phi = batch[0]
-    pre = phi @ actor.weights
+    pre = _dot(phi, actor.weights)
     action = np.clip(pre, -1.0, 1.0)
     dq_da = critic.grad_action(phi, action)
     mask = (np.abs(pre) < 1.0).astype(float)
-    grad = (phi * (dq_da * mask)[:, None]).mean(axis=0)
+    grad = (phi * (dq_da * mask)[..., None]).mean(axis=-2)
     return LinearActor(actor.weights + alpha_pi * grad)
 
 
@@ -399,25 +408,20 @@ def merl_train(config: MerlConfig) -> MerlResult:
         genomes=[rng_ea.standard_normal(genome_dim) for _ in range(config.population)],
         elite_count=config.elite_count,
     )
-    actors = [
-        LinearActor(rng_pg.standard_normal(FEATURE_DIM)) for _ in range(config.num_agents)
-    ]
-    critics = [
-        QuadraticCritic(np.zeros(CRITIC_DIM)) for _ in range(config.num_agents)
-    ]
-    target_actors = [LinearActor(a.weights.copy()) for a in actors]
-    target_critics = [QuadraticCritic(c.weights.copy()) for c in critics]
-    buffers = [ReplayBuffer(config.buffer_capacity) for _ in range(config.num_agents)]
+    # the gradient team: every agent's weights on one leading agent axis
+    actor = LinearActor(rng_pg.standard_normal((config.num_agents, FEATURE_DIM)))
+    critic = QuadraticCritic(np.zeros((config.num_agents, CRITIC_DIM)))
+    target_actor, target_critic = LinearActor(actor.weights), QuadraticCritic(critic.weights)
+    buffer = ReplayBuffer(config.buffer_capacity)
 
     history = []
     best_genomes = []
     best_ever = -np.inf
     best_genome = pop.genomes[0].copy()
     for gen in range(config.generations):
-        pg_genome = np.concatenate([a.weights for a in actors])
+        pg_genome = actor.weights.flatten()
         fitness, transitions = rollout_team(env, pop.genomes + [pg_genome], eval_seeds)
-        for i, buffer in enumerate(buffers):
-            buffer.extend(*(part[:, i] for part in transitions))
+        buffer.extend(*transitions)
         fitnesses = fitness.mean(axis=1)[:-1]
         pg_fitness = fitness[-1].mean()
 
@@ -438,23 +442,16 @@ def merl_train(config: MerlConfig) -> MerlResult:
         best_genomes.append(pop.genomes[gen_best].copy())
 
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            for _ in range(config.pg_updates):
-                for i in range(config.num_agents):
-                    if len(buffers[i]) < config.batch_size:
-                        continue
-                    batch = buffers[i].sample(rng_pg, config.batch_size)
-                    critics[i] = critic_td_update(
-                        critics[i], target_actors[i], target_critics[i], batch,
-                        config.alpha_q, config.gamma,
-                    )
-                    actors[i] = dpg_actor_update(actors[i], critics[i], batch, config.alpha_pi)
-                    target_actors[i] = LinearActor(
-                        soft_update(target_actors[i].weights, actors[i].weights, config.tau)
-                    )
-                    target_critics[i] = QuadraticCritic(
-                        soft_update(target_critics[i].weights, critics[i].weights, config.tau)
-                    )
-        if not all(np.isfinite(m.weights).all() for m in actors + critics):
+            for _ in range(config.pg_updates if len(buffer) >= config.batch_size else 0):
+                batch = buffer.sample(rng_pg, config.batch_size)
+                critic = critic_td_update(critic, target_actor, target_critic, batch,
+                                          config.alpha_q, config.gamma)
+                actor = dpg_actor_update(actor, critic, batch, config.alpha_pi)
+                target_actor = LinearActor(
+                    soft_update(target_actor.weights, actor.weights, config.tau))
+                target_critic = QuadraticCritic(
+                    soft_update(target_critic.weights, critic.weights, config.tau))
+        if not (np.isfinite(actor.weights).all() and np.isfinite(critic.weights).all()):
             raise DivergenceError(gen + 1, "actor or critic weights not finite in generation "
                                            f"{gen + 1} of {config.generations}")
 
@@ -475,7 +472,7 @@ def merl_train(config: MerlConfig) -> MerlResult:
         best_genomes=tuple(best_genomes),
         best_genome=best_genome,
         best_fitness=float(best_ever),
-        pg_genome=np.concatenate([a.weights for a in actors]),
+        pg_genome=actor.weights.flatten(),
     )
 
 

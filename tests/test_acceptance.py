@@ -875,14 +875,14 @@ def test_solver_outputs_match_pinned_digests():
 
 
 def merl_digests() -> dict:
-    """sha256 over merl_train on a seeded grid: 2, 3 and 5 agents, horizons
+    """sha256 over merl_train on a seeded grid: 2, 3, 5 and 10 agents, horizons
     1, 7 and 25, migration on and off, a meet radius that rarely and one
     that often ends episodes early, and a 150-row buffer that wraps beside
     one that does not. Each run hashes its history floats, best_genomes,
     best_genome, best_fitness and pg_genome."""
     h = hashlib.sha256()
     grid = itertools.product(
-        (2, 3, 5), (1, 7, 25), (None, 2), ((3, 1), (6, 2)), (0.5, 3.0), (150, 5000)
+        (2, 3, 5, 10), (1, 7, 25), (None, 2), ((3, 1), (6, 2)), (0.5, 3.0), (150, 5000)
     )
     for k, (agents, horizon, migration, (size, elite), meet, capacity) in enumerate(grid):
         res = merl_train(MerlConfig(

@@ -59,6 +59,16 @@ class TestSolve:
         sol = read_json(tmp_path / "nash_enum_solution.json")
         assert sol["count"] == 3
 
+    def test_nash_enum_payoffs_near_the_largest_float(self, tmp_path, capfd):
+        # the two payoff tensors sum past the largest float: not zero-sum, no warning
+        doc = game_to_dict(classic_game("chicken"))
+        doc["payoffs"] = [[1e308, 1e308, 0, 0], [1e308, 0, 0, 1e308]]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        rc = run(["solve", "nash-enum", "--game", path, "--seed", 0, "--out", tmp_path])
+        assert rc == 0
+        assert capfd.readouterr().err == ""
+
     def test_random_zero_sum_source(self, tmp_path):
         rc = run(["solve", "minimax", "--game", "random:zs-matrix:3x3",
                   "--seed", 11, "--out", tmp_path])

@@ -547,9 +547,10 @@ class TestSupportEnumeration:
         eqs = [[m.tolist() for m in e.mixtures] for e in support_enumeration_nash(g)]
         assert eqs == [[x, y] for x in ([1.0, 0.0], [0.0, 1.0]) for y in ([1.0, 0.0], [0.0, 1.0])]
 
-    # the last case's row payoffs span more than the largest float
-    @pytest.mark.parametrize("scales", [(1e-6, 1e-6), (1e6, 1e6), (1e9, 1e9), (1e308, 1.0)],
-                             ids=["1e-6", "1e6", "1e9", "row-1e308"])
+    # the last two cases' payoffs span more than the largest float
+    @pytest.mark.parametrize("scales", [(1e-6, 1e-6), (1e6, 1e6), (1e9, 1e9), (1e308, 1.0),
+                                        (1e308, 1e308)],
+                             ids=["1e-6", "1e6", "1e9", "row-1e308", "both-1e308"])
     def test_payoff_scale_does_not_change_the_equilibria(self, scales):
         for seed in range(30):
             g = random_game(seed, (3, 3))

@@ -10,7 +10,7 @@ import pytest
 
 from gtmarl import learners
 from gtmarl.equilibrium import CE_OBJECTIVES, ce_check, stage_minimax
-from gtmarl.errors import SpecError
+from gtmarl.errors import NumericalError, SpecError
 from gtmarl.games import build_matrix_game, classic_game, make_stochastic_game, random_game
 from gtmarl.learners import (
     EXTERNAL,
@@ -459,3 +459,11 @@ class TestSchedulesAndQTables:
         assert doc["states"] == 1
         assert doc["joint_actions"] == 4
         assert np.asarray(doc["tables"][0]) == pytest.approx(res.q.tables[0], abs=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_save_qtables_refuses_a_non_finite_table(self, tmp_path, bad):
+        # a bare NaN or Infinity token is not JSON
+        path = tmp_path / "q.json"
+        with pytest.raises(NumericalError, match="q.json"):
+            save_qtables(path, learners.QTables((np.array([[0.0, bad]]),)))
+        assert not path.exists()

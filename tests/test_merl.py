@@ -1,7 +1,8 @@
 """Hybrid evolutionary / policy-gradient training: environment mechanics,
 the batched rollout against a one-episode-at-a-time reference, the replay
 ring, finite-difference checks of both gradient updates, target-network
-tracking, and determinism of the full loop."""
+tracking, the team learner against one learner per agent, and determinism
+of the full loop."""
 
 import numpy as np
 import pytest
@@ -241,6 +242,76 @@ class TestReplayBuffer:
             ReplayBuffer(0)
 
 
+def team_batch(batches, axis=0):
+    """Per-agent (phi, action, reward, phi') batches stacked on one agent axis."""
+    return tuple(np.stack(parts, axis=axis) for parts in zip(*batches))
+
+
+class TestTeamLearner:
+    """One learner with a leading agent axis against one learner per agent:
+    every result must be the per-agent results stacked, bit for bit."""
+
+    @pytest.mark.parametrize("agents", [1, 2, 5])
+    def test_team_calls_match_per_agent_calls(self, agents):
+        rng = np.random.default_rng(agents)
+        batches = [random_batch(rng, 64) for _ in range(agents)]
+        phi, action, _, _ = batch = team_batch(batches)
+        # actor weights that saturate some actions and not others
+        actor, target_actor = rng.normal(size=(2, agents, FEATURE_DIM)) * 0.6
+        critic, target_critic = rng.normal(size=(2, agents, CRITIC_DIM))
+
+        def per_agent(call):
+            return np.stack([call(i, b) for i, b in enumerate(batches)])
+
+        assert np.array_equal(LinearActor(actor).act(phi),
+                              per_agent(lambda i, b: LinearActor(actor[i]).act(b[0])))
+        assert np.array_equal(QuadraticCritic(critic).value(phi, action),
+                              per_agent(lambda i, b: QuadraticCritic(critic[i]).value(b[0], b[1])))
+        assert np.array_equal(
+            QuadraticCritic(critic).grad_action(phi, action),
+            per_agent(lambda i, b: QuadraticCritic(critic[i]).grad_action(b[0], b[1])))
+        team = critic_td_update(QuadraticCritic(critic), LinearActor(target_actor),
+                                QuadraticCritic(target_critic), batch, 0.05, 0.95)
+        assert np.array_equal(team.weights, per_agent(lambda i, b: critic_td_update(
+            QuadraticCritic(critic[i]), LinearActor(target_actor[i]),
+            QuadraticCritic(target_critic[i]), b, 0.05, 0.95).weights))
+        team = dpg_actor_update(LinearActor(actor), QuadraticCritic(critic), batch, 0.05)
+        assert np.array_equal(team.weights, per_agent(lambda i, b: dpg_actor_update(
+            LinearActor(actor[i]), QuadraticCritic(critic[i]), b, 0.05).weights))
+
+    @pytest.mark.parametrize("agents", [1, 2, 5])
+    @pytest.mark.parametrize("capacity, count", [(300, 120), (50, 130)], ids=["fits", "wraps"])
+    def test_team_rows_sample_as_per_agent_buffers(self, agents, capacity, count):
+        rng = np.random.default_rng(10 * agents + capacity)
+        rows = [random_batch(rng, count) for _ in range(agents)]
+        team = team_batch(rows, axis=1)  # (count, agents, ...) rows
+        team_buffer, buffers = ReplayBuffer(capacity), [ReplayBuffer(capacity) for _ in rows]
+        for k in range(3):  # pushed rows, then two ring writes
+            team_buffer.push(*(part[k] for part in team))
+        team_buffer.extend(*(part[3:70] for part in team))
+        team_buffer.extend(*(part[70:] for part in team))
+        for buffer, agent_rows in zip(buffers, rows):
+            buffer.extend(*agent_rows)
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        for batch_size in (1, 16, 40):
+            got = team_buffer.sample(a, batch_size)
+            want = team_batch([buffer.sample(b, batch_size) for buffer in buffers])
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+    # the one-draw identities the team's sampling and initial actors rest on;
+    # 2**31 - 1 rejects often, 2**32 + 5 needs 64-bit draws
+    @pytest.mark.parametrize("size", [3, 150, 2**31 - 1, 2**32 + 5])
+    @pytest.mark.parametrize("agents", [2, 3, 5])
+    def test_one_team_draw_is_one_draw_per_agent(self, size, agents):
+        for seed in range(30):
+            one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):
+                assert np.array_equal(one.integers(0, size, size=(agents, 16)),
+                                      [each.integers(0, size, size=16) for _ in range(agents)])
+            assert np.array_equal(one.standard_normal((agents, FEATURE_DIM)),
+                                  [each.standard_normal(FEATURE_DIM) for _ in range(agents)])
+
+
 def reference_rollout(env, genomes, seeds):
     """One episode at a time, one agent at a time, through RendezvousEnv.step,
     agent_features and LinearActor.act: the loop that rollout_team batches.
@@ -417,6 +488,37 @@ class TestTrainingLoop:
         monkeypatch.setattr(merl, "rollout_team", spy)
         merl_train(MerlConfig(**self.CFG))
         assert calls == [self.CFG["population"] + 1] * self.CFG["generations"]
+
+    @pytest.mark.parametrize("agents", [2, 5])
+    def test_one_team_update_per_gradient_step(self, monkeypatch, agents):
+        # looked up through the module, where the benchmark's tracer wraps them;
+        # per generation: [replay rows written, critic calls, actor calls]
+        counts = []
+        config = MerlConfig(**dict(self.CFG, num_agents=agents, batch_size=150, pg_updates=3))
+
+        def rollout_spy(env, genomes, seeds):
+            fitness, transitions = rollout_team(env, genomes, seeds)
+            counts.append([len(transitions[1]), 0, 0])
+            return fitness, transitions
+
+        def critic_spy(critic, target_actor, target_critic, batch, alpha_q, gamma):
+            assert batch[0].shape == (agents, config.batch_size, FEATURE_DIM)
+            counts[-1][1] += 1
+            return critic_td_update(critic, target_actor, target_critic, batch, alpha_q, gamma)
+
+        def actor_spy(actor, critic, batch, alpha_pi):
+            assert actor.weights.shape == (agents, FEATURE_DIM)
+            counts[-1][2] += 1
+            return dpg_actor_update(actor, critic, batch, alpha_pi)
+
+        monkeypatch.setattr(merl, "rollout_team", rollout_spy)
+        monkeypatch.setattr(merl, "critic_td_update", critic_spy)
+        monkeypatch.setattr(merl, "dpg_actor_update", actor_spy)
+        merl_train(config)
+        held = np.minimum(np.cumsum([c[0] for c in counts]), config.buffer_capacity)
+        expected = [config.pg_updates if h >= config.batch_size else 0 for h in held]
+        assert [c[1] for c in counts] == [c[2] for c in counts] == expected
+        assert expected[0] == 0 and expected[-1] == config.pg_updates
 
     def test_config_validation(self):
         with pytest.raises(SpecError):
