@@ -3,10 +3,11 @@
 minimax_solve handles two-player zero-sum games through the value LP in its
 normalized form: after shifting the payoff matrix to be strictly positive,
 each player's optimal mixture is the scaled solution of a one-phase LP
-(max 1'q subject to Aq <= 1, q >= 0). Correlated equilibria come from one CE
-LP statement over a cached incentive index for all three welfare objectives,
-each answer checked against the incentive rows built for its LP; ce_violations
-reads the same index. Both LPs are stated in standard form and solved by
+(max 1'q subject to Aq <= 1, q >= 0). Correlated equilibria come from one
+cached CE LP statement per action shape and welfare objective, its payoffs
+written per solve through a cached incentive index, each answer checked
+against the incentive rows of its own block; ce_violations reads the same
+index. Both LPs are prepared once per shape as linprog Statements and solved by
 linprog's simplex core directly, with solve_lp's answer bit for bit.
 Vertex enumeration of the two best-response polytopes gives every extreme
 Nash equilibrium of a small two-player game, degenerate or not.
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import NumericalError, SpecError
 from .games import MatrixGame, MixedProfile, expected_payoff, joint_count, mixed_profile, strides
-from .linprog import EQUAL, FEAS_TOL, LESS, _solve_standard
+from .linprog import EQUAL, FEAS_TOL, LESS, Statement, _read_only, _solve_standard, _statement
 
 UTILITARIAN = "utilitarian_sum"
 EGALITARIAN = "egalitarian_min"
@@ -61,18 +62,28 @@ class CeCheckReport:
     violations: tuple  # (agent, recommended, alternative, violation)
 
 
-def _stage_lps(a, senses, b, weights, what: str, bases) -> list:
-    """x, the row multipliers and the final basis of max c @ x over one stage
-    LP per c in weights. bases, a warm-start list its caller keeps, holds
-    each LP's start basis once filled (every LP is cold while it is empty,
-    or without one) and is left holding the bases the answers came from."""
+def _stage_lps(statement, columns, weights, what: str, bases) -> list:
+    """x, the row multipliers and the final basis of max c @ x over statement
+    filled in as columns, per c in weights. bases, a warm-start list its
+    caller keeps, holds each LP's start basis once filled (every LP is cold
+    while it is empty, or without one) and is left holding the bases the
+    answers came from."""
     if bases and len(bases) != len(weights):
         raise SpecError(f"{len(bases)} warm-start bases for {len(weights)} LPs")
-    solved = [_solve_standard(a, senses, b, c, what, start)
+    solved = [_solve_standard(statement, columns, c, what, start)
               for c, start in zip(weights, bases or [None] * len(weights))]
     if bases is not None:
         bases[:] = [basis for _, _, basis in solved]
     return solved
+
+
+@functools.lru_cache(maxsize=32)
+def _value_statement(shape: tuple[int, int]) -> Statement:
+    """The value LP's read-only Statement for a matrix shape: [0 | I], rhs 1."""
+    statement = _statement(shape[1], (LESS,) * shape[0])
+    statement.rhs[:] = 1.0
+    _read_only(statement.columns, statement.rhs)
+    return statement
 
 
 def stage_minimax(matrix, bases=None) -> tuple[float, np.ndarray, np.ndarray]:
@@ -87,11 +98,14 @@ def stage_minimax(matrix, bases=None) -> tuple[float, np.ndarray, np.ndarray]:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise SpecError("stage payoff matrix must be 2-D and nonempty")
-    if not np.all(np.isfinite(a)):
+    low = a.min()
+    if not -np.inf < low <= a.max() < np.inf:  # NaN fails every comparison
         raise SpecError("stage payoff matrix has non-finite entries")
-    shift = 1.0 - a.min()
-    ((q, row_duals, _),) = _stage_lps(a + shift, (LESS,) * a.shape[0], 1.0, [1.0],
-                                      "value LP", bases)
+    shift = 1.0 - low
+    statement = _value_statement(a.shape)
+    columns = statement.columns.copy()
+    np.add(a, shift, out=columns[:, :a.shape[1]])
+    ((q, row_duals, _),) = _stage_lps(statement, columns, [1.0], "value LP", bases)
     duals = np.where(row_duals > 0.0, row_duals, 0.0)  # clip -1e-11 drift
     total = float(q.sum())
     dual_total = float(duals.sum())
@@ -164,30 +178,35 @@ def _incentive_index(actions: tuple[int, ...]):
     rows, cols = np.nonzero(digits[agent] == rec[:, None])
     agents = agent[rows]
     swapped = cols + (alt - rec)[rows] * strides(actions)[agents]
-    index = (rows, agents, cols, swapped)
-    for arr in index:
-        arr.setflags(write=False)
-    return labels, index
+    return labels, _read_only(rows, agents, cols, swapped)
 
 
-def _incentive_rows(actions, payoffs) -> tuple[np.ndarray, tuple]:
-    """Incentive rows and labels for payoffs stacked as (agents, joint)."""
-    actions = tuple(int(k) for k in actions)
-    labels, (rows, agents, cols, swapped) = _incentive_index(actions)
-    inc = np.zeros((len(labels), joint_count(actions)))
-    inc[rows, cols] = payoffs[agents, cols] - payoffs[agents, swapped]
-    return inc, labels
+@functools.lru_cache(maxsize=32)
+def _ce_statement(actions: tuple[int, ...], objective: str) -> Statement:
+    """The CE LP's read-only Statement, payoff entries 0: the incentive rows
+    negated into <= rows at rhs 0, the mass row == 1 and, for egalitarian,
+    -u_i'lambda + z <= 0 per agent, the free floor z = z+ - z- in the two
+    columns after the joint actions; the order is solve_lp's."""
+    count, incentives = joint_count(actions), sum(k * (k - 1) for k in actions)
+    floors = len(actions) if objective == EGALITARIAN else 0
+    senses = (LESS,) * incentives + (EQUAL,) + (LESS,) * floors
+    statement = _statement(count + 2 * bool(floors), senses)
+    statement.columns[incentives, :count] = statement.rhs[incentives] = 1.0
+    if floors:
+        statement.columns[incentives + 1:, count:count + 2] = (1.0, -1.0)
+    _read_only(statement.columns, statement.rhs)
+    return statement
 
 
 def solve_ce_distribution(actions, payoffs_flat, objective: str, bases=None) -> np.ndarray:
     """Optimal correlated distribution over flat joint actions for raw payoff
     vectors. Shared by correlated_eq_solve and the correlated-Q learner.
 
-    One LP over the distribution: incentive rows >= 0 and total mass 1.
-    Utilitarian maximizes the summed payoffs, plutocratic each agent's in
-    turn (the first best wins), and egalitarian a free floor z <= u_i'lambda.
-    The rows and columns are in the order solve_lp would reduce them to.
-    The answer breaks no incentive row by more than FEAS_TOL, or it raises.
+    One LP over the distribution (_ce_statement): incentive rows >= 0 and
+    total mass 1. Utilitarian maximizes the summed payoffs, plutocratic each
+    agent's in turn (the first best wins), and egalitarian a free floor
+    z <= u_i'lambda. The answer breaks no incentive row by more than
+    FEAS_TOL, or it raises.
     bases is a warm-start list (see _stage_lps) with an entry per LP solved,
     one per agent for plutocratic; correlated-Q keeps one per state."""
     actions = tuple(int(k) for k in actions)
@@ -197,31 +216,30 @@ def solve_ce_distribution(actions, payoffs_flat, objective: str, bases=None) -> 
     if objective not in CE_OBJECTIVES:
         raise SpecError(f"unknown objective {objective!r}")
     u = np.asarray(payoffs_flat, dtype=float)
-    inc, _ = _incentive_rows(actions, u)
-    # standard form: each incentive row at rhs 0 negated into a <= row
-    a = np.vstack([-inc, np.ones((1, count))])
-    senses = (LESS,) * inc.shape[0] + (EQUAL,)
-    b = np.append(np.zeros(inc.shape[0]), 1.0)
+    statement = _ce_statement(actions, objective)
+    columns = statement.columns.copy()
+    _, (rows, agents, cols, swapped) = _incentive_index(actions)
+    columns[rows, cols] = u[agents, swapped] - u[agents, cols]  # the negated incentive rows
     if objective == EGALITARIAN:
-        # the floor z = z+ - z- in two columns, -u_i'lambda + z <= 0
-        ones = np.ones((u.shape[0], 1))
-        a = np.block([[a, np.zeros((a.shape[0], 2))], [-u, ones, -ones]])
-        senses += (LESS,) * u.shape[0]
-        b = np.append(b, np.zeros(u.shape[0]))
+        np.negative(u, out=columns[-len(actions):, :count])
         weights = [np.append(np.zeros(count), (1.0, -1.0))]
     elif objective == UTILITARIAN:
-        weights = [np.sum(u, axis=0)]
+        weights = [u.sum(axis=0)]
     else:
         weights = list(u)
-    solved = [x for x, _, _ in _stage_lps(a, senses, b, weights, "CE LP", bases)]
-    lam = max(zip(weights, solved), key=lambda cx: cx[0] @ cx[1])[1][:count]
+    solved = [x for x, _, _ in _stage_lps(statement, columns, weights, "CE LP", bases)]
+    lam = solved[0] if len(solved) == 1 else max(zip(weights, solved),
+                                                  key=lambda cx: cx[0] @ cx[1])[1]
+    lam = lam[:count]
     lam = np.where(lam > 0.0, lam, 0.0)
     total = lam.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise NumericalError("CE LP returned a degenerate distribution")
     lam = lam / total
-    if (inc @ lam).min(initial=0.0) < -FEAS_TOL:
-        raise NumericalError(f"stage CE violates incentives by {-(inc @ lam).min():g}")
+    # the incentive rows of the block are negated: a breach is a positive entry
+    breach = (columns[:statement.senses.index(EQUAL), :count] @ lam).max(initial=0.0)
+    if breach > FEAS_TOL:
+        raise NumericalError(f"stage CE violates incentives by {breach:g}")
     return lam
 
 
@@ -234,7 +252,11 @@ def correlated_eq_solve(game: MatrixGame, objective: str = UTILITARIAN) -> Corre
 
 def ce_violations(actions, payoffs_flat, lam) -> tuple[float, list]:
     """Worst incentive violation and the per-constraint breakdown."""
-    inc, labels = _incentive_rows(actions, np.asarray(payoffs_flat, dtype=float))
+    actions = tuple(int(k) for k in actions)
+    labels, (rows, agents, cols, swapped) = _incentive_index(actions)
+    u = np.asarray(payoffs_flat, dtype=float)
+    inc = np.zeros((len(labels), joint_count(actions)))
+    inc[rows, cols] = u[agents, cols] - u[agents, swapped]
     neg = -(inc @ np.asarray(lam, dtype=float))
     gaps = np.where(neg > 0.0, neg, 0.0)
     worst = float(gaps.max()) if gaps.size else 0.0

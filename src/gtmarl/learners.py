@@ -209,12 +209,10 @@ def _stage_q_loop(game, schedule, record_every, q, solve, extra=lambda stage: ()
     reward_n = 0
     s = int(rng.integers(states))
     stage = [_solve_stage(ss, "step", 0, solve, ss) for ss in range(states)]
+    discount, episode_length = game.discount, schedule.episode_length
+    tables = tuple(enumerate(zip(q, rewards)))
     for t in range(schedule.max_steps):
-        if (
-            schedule.episode_length is not None
-            and t > 0
-            and t % schedule.episode_length == 0
-        ):
+        if episode_length is not None and t > 0 and t % episode_length == 0:
             s = int(rng.integers(states))
         eps = _epsilon(schedule, int(visits_s[s]))
         visits_s[s] += 1
@@ -226,8 +224,8 @@ def _stage_q_loop(game, schedule, record_every, q, solve, extra=lambda stage: ()
         values = stage[s_next][0]
         alpha = _alpha(schedule, int(visits_sa[s, j]))
         visits_sa[s, j] += 1
-        for i, (table, reward, value) in enumerate(zip(q, rewards, values)):
-            table[s, j] += alpha * (reward[s, j] + game.discount * value - table[s, j])
+        for i, (table, reward) in tables:
+            table[s, j] += alpha * (reward[s, j] + discount * values[i] - table[s, j])
             reward_sum[i] += reward[s, j]
         stage[s] = _solve_stage(s, "step", t + 1, solve, s)
         reward_n += 1

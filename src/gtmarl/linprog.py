@@ -9,8 +9,9 @@ solve_lp reduces a program to standard form: finite lower bounds are shifted
 to zero, free variables split into nonnegative pairs, finite upper bounds
 become rows, and rows are negated to make every rhs nonnegative; it is the
 general solver only. One simplex core, _simplex, solves that standard form, and
-every stage LP (the minimax value LP and the CE LP) is stated in standard form
-by its caller and solved by the core through _solve_standard.
+every stage LP (the minimax value LP and the CE LP) is prepared once per shape
+by its caller as a read-only Statement, whose block [a | slacks] each solve
+copies and fills before _solve_standard hands it to the core.
 Bland's rule (lowest eligible index for both the entering and the leaving
 variable) makes the pivot sequence deterministic and cycle-free.
 
@@ -25,6 +26,8 @@ solve), runs the core from its starting basis.
 
 from __future__ import annotations
 
+import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +36,7 @@ from .errors import NumericalError, SimplexIterationError, SpecError
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
+MAX_LP_ENTRIES = 10**7  # entries of one stage LP's block [a | slacks]
 
 LESS = "<="
 EQUAL = "=="
@@ -121,13 +125,45 @@ def linear_program(
     return LinearProgram(c, a, senses, b, lo, hi)
 
 
+# A stage LP max c @ x s.t. a @ x (<= | ==) rhs, x >= 0: columns is [a | slacks],
+# a in the first width columns, then a unit slack per <= row, as _simplex numbers them
+Statement = namedtuple("Statement", "columns width senses rhs")
+
+
+def _read_only(*arrays) -> tuple:
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def _statement(width: int, senses: tuple[str, ...]) -> Statement:
+    """A Statement of a = 0 and rhs = 0 for the caller to fill and make
+    read-only; one over MAX_LP_ENTRIES entries is refused before any array."""
+    slack = [i for i, s in enumerate(senses) if s != EQUAL]
+    rows, cols = len(senses), width + len(slack)
+    if rows * cols > MAX_LP_ENTRIES:
+        raise SpecError(f"a stage LP of {rows} rows and {cols} columns exceeds the cap of "
+                        f"{MAX_LP_ENTRIES} entries")
+    columns = np.zeros((rows, cols))
+    columns[slack, width + np.arange(len(slack))] = 1.0
+    return Statement(columns, width, senses, np.zeros(rows))
+
+
+@functools.lru_cache(maxsize=64)
+def _row_masks(senses: tuple[str, ...]) -> tuple:
+    """Read-only masks of the >= and of the == rows, None for a kind with no row."""
+    kind = np.array(senses, dtype=str)
+    return tuple(_read_only(m)[0] if m.any() else None for m in (kind == GREATER, kind == EQUAL))
+
+
 def _row_excess(a, senses, b, x) -> np.ndarray:
     """How far a @ x breaks each <=, >= or == row; at most 0 where a row holds."""
     excess = a @ x - b
-    if senses.count(LESS) < len(senses):
-        kind = np.array(senses)
-        excess[kind == GREATER] *= -1.0
-        np.abs(excess, out=excess, where=kind == EQUAL)
+    greater, equal = _row_masks(senses)
+    if greater is not None:
+        excess[greater] *= -1.0
+    if equal is not None:
+        np.abs(excess, out=excess, where=equal)
     return excess
 
 
@@ -148,7 +184,7 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     factors = tab[:, col].copy()
     factors[row] = 0.0
     # rank-1 elimination of the pivot column everywhere else
-    tab -= np.outer(factors, tab[row])
+    tab -= factors[:, None] * tab[row]
     tab[:, col] = 0.0
     tab[row, col] = 1.0
     basis[row] = col
@@ -165,18 +201,18 @@ def _run_phase(
     """Pivot until the objective row has no eligible entering column."""
     while True:
         obj = tab[obj_row, :-1]
-        eligible = np.flatnonzero(allowed & (obj < -PIVOT_TOL))
+        eligible = (allowed & (obj < -PIVOT_TOL)).nonzero()[0]
         if eligible.size == 0:
             return OPTIMAL
         col = int(eligible[0])  # Bland: lowest index enters
         column = tab[:nrows, col]
-        rows = np.flatnonzero(column > PIVOT_TOL)
+        rows = (column > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return UNBOUNDED
         ratios = tab[rows, -1] / column[rows]
         best = ratios.min()
         tied = rows[ratios <= best]
-        row = int(tied[np.argmin(basis[tied])])  # Bland: lowest basis index leaves
+        row = int(tied[basis[tied].argmin()])  # Bland: lowest basis index leaves
         _pivot(tab, basis, row, col)
         budget[0] -= 1
         if budget[0] <= 0:
@@ -302,29 +338,24 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
     return LpSolution(OPTIMAL, x, float(lp.objective @ x), duals[:m] * row_signs[:m])
 
 
-def _basis_solution(a, senses, b, c, basis) -> tuple[np.ndarray, np.ndarray] | None:
-    """x and the row multipliers of max c @ x s.t. a @ x (<= | ==) b, x >= 0
-    at a given basis, or None unless that basis is optimal.
+def _basis_solution(statement: Statement, columns, c, basis) -> tuple | None:
+    """x and the row multipliers of max c @ x over statement, with columns its
+    block filled in, at a given basis, or None unless that basis is optimal.
 
-    Columns are numbered as in _simplex's tableau: the structural columns,
-    then one slack per <= row in row order (an == row has none); a higher
-    index is an artificial, and a basis holding one, or of the wrong length
-    (carried from another program), is not optimal. The basis matrix is
-    built from the original columns and inverted once, so x_B = B^-1 b and
-    the multipliers y = c_B B^-1 carry no pivoting history.
-    The basis is optimal when x_B >= 0 and every reduced cost (y @ a - c,
-    and y itself at the slacks; an == row's multiplier is free) is at least
-    -PIVOT_TOL, the test that ends _run_phase; a singular basis matrix is not
-    optimal. A scalar b or c stands for a constant vector."""
-    m, n = a.shape
-    slacks = np.eye(m)
-    if EQUAL in senses:
-        slacks = slacks[:, [s != EQUAL for s in senses]]
-    if len(basis) != m or basis.max() >= n + slacks.shape[1]:
+    A basis holding an index past the block (an artificial of _simplex's
+    tableau), or of the wrong length (carried from another program), is not
+    optimal. The basis matrix is taken from the block's columns and inverted
+    once, so x_B = B^-1 rhs and the multipliers y = c_B B^-1 carry no
+    pivoting history. The basis is optimal when x_B >= 0 and every reduced
+    cost (y @ columns - c, with c = 0 at the slacks; an == row's multiplier
+    is free) is at least -PIVOT_TOL, the test that ends _run_phase; a
+    singular basis matrix is not optimal. A scalar c stands for a constant
+    vector."""
+    ncols = columns.shape[1]
+    if len(basis) != len(statement.rhs) or basis.max() >= ncols:
         return None
-    columns = np.concatenate((a, slacks), axis=1)
-    costs = np.zeros(columns.shape[1])
-    costs[:n] = c
+    costs = np.zeros(ncols)
+    costs[:statement.width] = c
     factor = columns[:, basis]
     try:
         inverse = np.linalg.inv(factor)
@@ -332,34 +363,38 @@ def _basis_solution(a, senses, b, c, basis) -> tuple[np.ndarray, np.ndarray] | N
         return None
     # one refinement step each keeps the residuals near rounding level even
     # when B is ill-conditioned (nearly equal columns of a near-constant game)
-    rhs, c_basic = np.full(m, b), costs[basis]
+    rhs = statement.rhs
     x_basic = inverse @ rhs
     x_basic += inverse @ (rhs - factor @ x_basic)
+    if x_basic.min() < 0.0:
+        return None
+    c_basic = costs[basis]
     duals = c_basic @ inverse
     duals += (c_basic - duals @ factor) @ inverse
-    x = np.zeros(columns.shape[1])
-    x[basis] = x_basic
-    if x.min() < 0.0 or (duals @ columns - costs).min() < -PIVOT_TOL:
+    if (duals @ columns - costs).min() < -PIVOT_TOL:
         return None
-    return x[:n], duals
+    x = np.zeros(ncols)
+    x[basis] = x_basic
+    return x[:statement.width], duals
 
 
-def _solve_standard(a, senses, b, c, what: str, basis=None) -> tuple:
-    """_simplex on a program stated directly in standard form with <= and ==
-    rows only, as the stage value LP and the CE LP are. Raises unless the
-    solve ends optimal at a point within FEAS_TOL of every row and of x >= 0;
-    returns x, the row multipliers and the basis the answer came from.
+def _solve_standard(statement: Statement, columns, c, what: str, basis=None) -> tuple:
+    """max c @ x over statement, with columns its block filled in. Raises
+    unless the solve ends optimal at a point within FEAS_TOL of every row and
+    of x >= 0; returns x, the row multipliers and the basis the answer came
+    from.
 
     basis, one returned by an earlier call, is tried first by _basis_solution,
     and _simplex runs only if it is not optimal for this program."""
-    found = None if basis is None else _basis_solution(a, senses, b, c, basis)
+    a = columns[:, :statement.width]
+    found = None if basis is None else _basis_solution(statement, columns, c, basis)
     if found is not None:
         x, duals = found
     else:
-        status, x, duals, basis = _simplex(a, senses, b, c)
+        status, x, duals, basis = _simplex(a, statement.senses, statement.rhs, c)
         if status != OPTIMAL:
             raise NumericalError(f"{what} ended with status {status}")
-    worst = max(float(_row_excess(a, senses, b, x).max()), float((-x).max()))
+    worst = max(float(_row_excess(a, statement.senses, statement.rhs, x).max()), float((-x).max()))
     if worst > FEAS_TOL:
         raise NumericalError(f"simplex returned an infeasible point (off by {worst:g})")
     return x, duals, basis

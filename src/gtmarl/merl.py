@@ -182,10 +182,13 @@ class ReplayBuffer:
         if size == 0:
             raise SpecError("cannot sample from an empty buffer")
         agents = self._fields[1].shape[1:]  # () for one agent's rows
-        # one draw for the team is one draw per agent in turn; agent i reads column i
-        idx = (rng.integers(0, size, size=agents + (batch_size,)),)
-        idx += tuple(np.arange(n)[:, None] for n in agents)
-        return tuple(store[idx] for store in self._fields)  # indexing copies
+        # one draw for the team is one draw per agent in turn; agent i reads
+        # column i, row draw * agents + i of the ring with its agent axis flattened
+        rows = rng.integers(0, size, size=agents + (batch_size,))
+        if agents:
+            rows = rows * agents[0] + np.arange(agents[0])[:, None]
+        return tuple(store.reshape((-1,) + store.shape[1 + len(agents):]).take(rows, axis=0)
+                     for store in self._fields)
 
 
 def soft_update(target_params: np.ndarray, online_params: np.ndarray, tau: float) -> np.ndarray:

@@ -865,7 +865,40 @@ def solver_digests() -> dict:
         objective = CE_OBJECTIVES[(k // len(shapes)) % len(CE_OBJECTIVES)]
         _hash_outcome(h, lambda: (solve_ce_distribution(actions, payoffs, objective),))
     digests["solve_ce_distribution"] = h.hexdigest()
+    digests["warm_stage"] = _warm_stage_digest(rng)
     return digests
+
+
+def _warm_stage_digest(rng) -> str:
+    """sha256 over seeded update sequences solved through carried bases, as
+    the learners solve them: each step moves one joint action's payoffs (one
+    matrix entry, or every agent's entry) part of the way to a target. The
+    value LP runs on 2x2..6x6 matrices, the CE LP on 2x2, 3x2, 3x3 and 2x2x2
+    games in all three objectives; every answer or its error text is hashed."""
+    h = hashlib.sha256()
+    sequences = [(n, n) for n in range(2, 7)] + [
+        (actions, objective) for actions in [(2, 2), (3, 2), (3, 3), (2, 2, 2)]
+        for objective in CE_OBJECTIVES]
+    for k in range(16 * len(sequences)):
+        shape, objective = sequences[k % len(sequences)]
+        integer = bool(k // len(sequences) % 2)
+        ce = isinstance(shape, tuple)
+        size = (len(shape), int(np.prod(shape))) if ce else (shape, shape)
+
+        def fresh(n):
+            return rng.integers(-2, 3, n).astype(float) if integer else rng.uniform(-10, 10, n)
+
+        u, bases = fresh(size), []
+        for _ in range(25):
+            if ce:
+                _hash_outcome(h, lambda: (solve_ce_distribution(shape, u, objective, bases),))
+                j = (slice(None), int(rng.integers(size[1])))
+            else:
+                _hash_outcome(h, lambda: stage_minimax(u, bases))
+                j = tuple(int(v) for v in rng.integers(shape, size=2))
+            step = 1.0 if integer else rng.choice((0.5, 0.1, 1e-3))
+            u[j] += step * (fresh(np.shape(u[j])) - u[j])
+    return h.hexdigest()
 
 
 def test_solver_outputs_match_pinned_digests():

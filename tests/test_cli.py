@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gtmarl import cli, errors, games, learners, merl
+from gtmarl import cli, equilibrium, errors, games, learners, linprog, merl
 from gtmarl.cli import main
 from gtmarl.errors import NumericalError, SpecError
 from gtmarl.games import classic_game, game_to_dict, random_game, save_game
@@ -499,6 +499,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: random game spec {spec!r}: {drawn} entries to draw exceed the cap "
             f"{games.MAX_RANDOM_ENTRIES}\n")
+        assert not out.exists()
+
+    def test_stage_lp_over_the_size_cap(self, monkeypatch, tmp_path, capsys):
+        """64x64 is at the joint-action cap, but its CE LP block would hold
+        8,065 x 12,160 entries; it is refused before the incentive index."""
+        def no_index(*args, **kwargs):
+            pytest.fail("the CE LP built its incentive index before bounding its size")
+
+        monkeypatch.setattr(equilibrium, "_incentive_index", no_index)
+        out = tmp_path / "od"
+        rc = run(["solve", "ce", "--game", "random:matrix:64x64", "--seed", 1, "--out", out])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: a stage LP of 8065 rows and 12160 columns exceeds the cap of "
+            f"{linprog.MAX_LP_ENTRIES} entries\n")
         assert not out.exists()
 
     def test_wrong_x0_length(self, tmp_path):

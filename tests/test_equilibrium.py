@@ -38,7 +38,7 @@ from gtmarl.games import (
     strides,
 )
 from gtmarl.learners import LearningSchedule, correlated_q_train, minimax_q_train
-from gtmarl.linprog import OPTIMAL, LinearProgram, linear_program, solve_lp
+from gtmarl.linprog import EQUAL, OPTIMAL, LinearProgram, linear_program, solve_lp
 
 
 # --- independent oracles ------------------------------------------------------
@@ -448,8 +448,9 @@ class TestWarmStart:
         assert y == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_corrupted_warm_answer_fails_the_feasibility_check(self, monkeypatch):
-        def corrupt(a, senses, b, c, basis):
-            return np.full(a.shape[1], 5.0), np.ones(a.shape[0])  # q = 5 breaks every row
+        def corrupt(statement, columns, c, basis):
+            # q = 5 breaks every row
+            return np.full(statement.width, 5.0), np.ones(len(statement.rhs))
 
         monkeypatch.setattr(linprog, "_basis_solution", corrupt)
         with pytest.raises(NumericalError, match="simplex returned an infeasible point"):
@@ -800,18 +801,13 @@ CHICKEN = [[6.0, 2.0, 7.0, 0.0], [6.0, 7.0, 2.0, 0.0]]
 
 def break_ce_incentives(monkeypatch):
     """Make the CE LP return the point mass on joint action 0, and make every
-    incentive row read -0.5 there, so the CE entry's own incentive check finds
-    a breach of 0.5."""
-    incentive_rows = equilibrium._incentive_rows
+    incentive row of its filled block read -0.5 there, so the CE entry's own
+    incentive check finds a breach of 0.5."""
+    def point_mass_with_a_breach(statement, columns, c, what, basis):
+        columns[:statement.senses.index(EQUAL), 0] = 0.5  # the rows are negated
+        return np.eye(statement.width)[0], None, None
 
-    def rows_with_a_breach(actions, payoffs):
-        inc, labels = incentive_rows(actions, payoffs)
-        inc[:, 0] = -0.5
-        return inc, labels
-
-    monkeypatch.setattr(equilibrium, "_incentive_rows", rows_with_a_breach)
-    monkeypatch.setattr(equilibrium, "_solve_standard",
-                        lambda a, senses, b, c, what, basis: (np.eye(a.shape[1])[0], None, None))
+    monkeypatch.setattr(equilibrium, "_solve_standard", point_mass_with_a_breach)
 
 
 class TestCeLayer:
@@ -862,6 +858,106 @@ class TestCeLayer:
         break_ce_incentives(monkeypatch)
         with pytest.raises(NumericalError, match=r"^stage CE violates incentives by 0\.5$"):
             solve_ce_distribution((2, 2), CHICKEN, objective)
+
+
+def per_call_ce_block(actions, u, objective):
+    """The CE LP's block [a | slacks] and senses as they were stated on every
+    call before the prepared statement: np.vstack([-inc, ones]), np.block
+    with the floor for egalitarian, then one unit slack column per <= row."""
+    count = joint_count(actions)
+    inc, _ = reference_incentive_rows(actions, u)
+    a = np.vstack([-inc, np.ones((1, count))])
+    senses = ("<=",) * inc.shape[0] + ("==",)
+    if objective == EGALITARIAN:
+        ones = np.ones((len(u), 1))
+        a = np.block([[a, np.zeros((a.shape[0], 2))], [-u, ones, -ones]])
+        senses += ("<=",) * len(u)
+    slacks = np.eye(len(senses))[:, [s != "==" for s in senses]]
+    return np.concatenate((a, slacks), axis=1), senses
+
+
+class TestPreparedStatement:
+    """The cached, read-only stage LP statements: each solve fills a copy."""
+
+    @staticmethod
+    def solved_blocks(monkeypatch):
+        """Record each (statement, filled block) handed to _solve_standard."""
+        seen, solve_standard = [], equilibrium._solve_standard
+
+        def recorded(statement, columns, *args):
+            seen.append((statement, columns.copy()))
+            return solve_standard(statement, columns, *args)
+
+        monkeypatch.setattr(equilibrium, "_solve_standard", recorded)
+        return seen
+
+    @pytest.mark.parametrize("objective", CE_OBJECTIVES)
+    @pytest.mark.parametrize("actions", [(2,), (2, 2), (3, 3), (4, 4), (3, 2), (2, 2, 2)])
+    def test_filled_ce_block_equals_the_per_call_statement(self, monkeypatch, actions,
+                                                           objective):
+        seen = self.solved_blocks(monkeypatch)
+        rng = np.random.default_rng(sum(actions))
+        u = rng.integers(-2, 3, size=(len(actions), joint_count(actions))).astype(float)
+        try:
+            solve_ce_distribution(actions, u, objective)
+        except NumericalError:
+            pass  # the block is what is checked, not the answer
+        block, senses = per_call_ce_block(actions, u, objective)
+        assert seen
+        for statement, columns in seen:
+            assert np.array_equal(columns, block)
+            assert statement.senses == senses
+            assert statement.width == joint_count(actions) + 2 * (objective == EGALITARIAN)
+            assert statement.rhs.tolist() == [float(s == "==") for s in senses]
+
+    def test_filled_value_block_is_the_shifted_matrix_and_identity(self, monkeypatch):
+        seen = self.solved_blocks(monkeypatch)
+        matrix = np.random.default_rng(3).normal(size=(3, 4))
+        stage_minimax(matrix)
+        ((statement, columns),) = seen
+        assert np.array_equal(columns, np.hstack([matrix + (1.0 - matrix.min()), np.eye(3)]))
+        assert statement.rhs.tolist() == [1.0] * 3 and statement.width == 4
+
+    def test_templates_are_read_only(self):
+        stage_minimax(np.eye(3))
+        statements = [equilibrium._value_statement((3, 3))]
+        for objective in CE_OBJECTIVES:
+            solve_ce_distribution((2, 2), CHICKEN, objective)
+            statements.append(equilibrium._ce_statement((2, 2), objective))
+        arrays = [array for statement in statements for array in (statement.columns, statement.rhs)]
+        arrays += list(equilibrium._incentive_index((2, 2))[1])
+        arrays += [mask for mask in linprog._row_masks(statements[-1].senses) if mask is not None]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 7.0
+
+    def test_a_solve_leaves_no_trace_for_the_next(self):
+        rng = np.random.default_rng(11)
+        for objective in CE_OBJECTIVES:
+            a, b = rng.normal(size=(2, 2, 9))
+            first = solve_ce_distribution((3, 3), a, objective).tobytes()
+            solve_ce_distribution((3, 3), b, objective)
+            assert solve_ce_distribution((3, 3), a, objective).tobytes() == first
+        a, b = rng.normal(size=(2, 4, 4))
+        first = [np.asarray(part).tobytes() for part in stage_minimax(a)]
+        stage_minimax(b)
+        assert [np.asarray(part).tobytes() for part in stage_minimax(a)] == first
+
+    def test_stage_lp_over_the_size_cap_is_refused(self, monkeypatch):
+        """The cap counts rows x (structural + slack columns) and is checked
+        before any array of the LP is built: a statement cached before the
+        cap was lowered is not checked again, so the caches start empty."""
+        monkeypatch.setattr(linprog, "MAX_LP_ENTRIES", 40)
+        equilibrium._value_statement.cache_clear()
+        equilibrium._ce_statement.cache_clear()
+        stage_minimax(np.eye(4))  # 4 rows, 4 + 4 columns
+        with pytest.raises(SpecError, match=r"^a stage LP of 5 rows and 10 columns exceeds "
+                                            r"the cap of 40 entries$"):
+            stage_minimax(np.eye(5))
+        for objective in (UTILITARIAN, PLUTOCRATIC):  # 5 rows, 4 + 4 columns
+            solve_ce_distribution((2, 2), CHICKEN, objective)
+        with pytest.raises(SpecError, match=r"^a stage LP of 7 rows and 12 columns exceeds"):
+            solve_ce_distribution((2, 2), CHICKEN, EGALITARIAN)
 
 
 CE_WARM_SHAPES = ((2,), (1, 1), (2, 2), (3, 2), (3, 3), (2, 2, 2))

@@ -21,6 +21,7 @@ from gtmarl.linprog import (
     _basis_solution,
     _simplex,
     _solve_standard,
+    _statement,
     check_feasible,
     linear_program,
     solve_lp,
@@ -379,6 +380,15 @@ class TestAgainstHighs:
         assert sol.x == pytest.approx([0.5, 0.5, 0.0], abs=1e-9)
 
 
+def prepared(a, senses, b):
+    """The Statement of a @ x (senses) b with a written into its block, and
+    that block, as _basis_solution and _solve_standard take them."""
+    statement = _statement(a.shape[1], senses)
+    statement.columns[:, :a.shape[1]] = a
+    statement.rhs[:] = b
+    return statement, statement.columns
+
+
 class TestBasisSolutionWithEqualityRow:
     """_basis_solution on a hand-made program with an == row:
         max -x0 - 2 x1 - 5 x2  s.t.  x1 + 2 x2 <= 0.6,  x0 + x1 + 2 x2 == 1,  x >= 0.
@@ -393,7 +403,7 @@ class TestBasisSolutionWithEqualityRow:
     c = np.array([-1.0, -2.0, -5.0])
 
     def solve(self, basis):
-        return _basis_solution(self.a, self.senses, self.b, self.c, np.array(basis))
+        return _basis_solution(*prepared(self.a, self.senses, self.b), self.c, np.array(basis))
 
     def test_accepts_the_optimal_basis(self):
         x, duals = self.solve([3, 0])
@@ -415,13 +425,14 @@ class TestBasisSolutionWithEqualityRow:
         assert self.solve(basis) is None
 
     def test_solve_standard_falls_back_and_keeps_the_cold_basis(self, monkeypatch):
-        x, _, basis = _solve_standard(self.a, self.senses, self.b, self.c, "test LP",
-                                      np.array([3, 4]))
+        x, _, basis = _solve_standard(*prepared(self.a, self.senses, self.b), self.c,
+                                      "test LP", np.array([3, 4]))
         assert x.tolist() == [1.0, 0.0, 0.0] and basis.tolist() == [3, 0]
 
         def forbidden_simplex(*args, **kwargs):
             raise AssertionError("the simplex ran although the start basis was optimal")
 
         monkeypatch.setattr(linprog, "_simplex", forbidden_simplex)
-        x, _, kept = _solve_standard(self.a, self.senses, self.b * 2.0, self.c, "test LP", basis)
+        x, _, kept = _solve_standard(*prepared(self.a, self.senses, self.b * 2.0), self.c,
+                                     "test LP", basis)
         assert x.tolist() == [2.0, 0.0, 0.0] and kept is basis

@@ -247,6 +247,15 @@ def team_batch(batches, axis=0):
     return tuple(np.stack(parts, axis=axis) for parts in zip(*batches))
 
 
+def fancy_index_sample(buffer, rng, batch_size):
+    """ReplayBuffer.sample's earlier gather: the ring indexed by the drawn
+    rows and, for team rows, by the agent column."""
+    agents = buffer._fields[1].shape[1:]
+    idx = (rng.integers(0, len(buffer), size=agents + (batch_size,)),)
+    idx += tuple(np.arange(n)[:, None] for n in agents)
+    return tuple(store[idx] for store in buffer._fields)
+
+
 class TestTeamLearner:
     """One learner with a leading agent axis against one learner per agent:
     every result must be the per-agent results stacked, bit for bit."""
@@ -297,6 +306,19 @@ class TestTeamLearner:
             got = team_buffer.sample(a, batch_size)
             want = team_batch([buffer.sample(b, batch_size) for buffer in buffers])
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+    @pytest.mark.parametrize("agents", [None, 1, 3, 10])
+    def test_take_gather_matches_the_fancy_index(self, agents):
+        rng = np.random.default_rng(agents or 0)
+        rows = random_batch(rng, 130)
+        if agents is not None:
+            rows = team_batch([random_batch(rng, 130) for _ in range(agents)], axis=1)
+        buffer = ReplayBuffer(50)
+        buffer.extend(*rows)  # 130 rows through 50 slots: the ring has wrapped
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        for batch_size in (1, 64):
+            got, want = buffer.sample(a, batch_size), fancy_index_sample(buffer, b, batch_size)
+            assert all(x.shape == y.shape and np.array_equal(x, y) for x, y in zip(got, want))
 
     # the one-draw identities the team's sampling and initial actors rest on;
     # 2**31 - 1 rejects often, 2**32 + 5 needs 64-bit draws
